@@ -69,11 +69,13 @@ cluster-soak:
 # under the race detector, across the seed matrix. Passing means every
 # batch answers every index bit-identically through kill, reroute and
 # group-commit replay, with zero determinism-guard trips.
+# The DSE suites run here too: an exploration rides the same batch
+# fan-out, so its shard-death reroute is this path under soak.
 batch-soak:
 	@set -e; for seed in $(SOAK_SEEDS); do \
 		echo "== batch soak seed $$seed =="; \
 		SIGKERN_FAULTS_SEED=$$seed $(GO) test -race -count=1 \
-			-run 'BatchSoak|GatewayBatch|Batch' \
+			-run 'BatchSoak|GatewayBatch|Batch|DSE' \
 			./cmd/simgate/... ./internal/cluster/... ./internal/svc/...; \
 	done
 

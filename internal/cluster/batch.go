@@ -4,22 +4,16 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 
 	"sigkern/internal/svc"
 )
 
-// maxBatchBody bounds POST /v1/batch request bodies at the gateway,
-// matching the shard-side cap.
-const maxBatchBody = 16 << 20
-
-// batchCell is one parsed batch cell: the client-visible index, the
+// batchCell is one routed batch cell: the client-visible index, the
 // normalized spec, and its canonical hash (the routing key).
 type batchCell struct {
 	index int
@@ -27,33 +21,55 @@ type batchCell struct {
 	hash  string
 }
 
-// handleBatch splits one batch across the ring by each cell's spec
-// hash and merges the shards' NDJSON streams back into a single
-// response. Each shard group is one upstream POST /v1/batch carrying
-// explicit per-line index fields, so a cell's index survives the split;
-// lines are relayed to the client as they arrive, serialized through
-// one writer. A failed sub-batch reroutes its unanswered cells to the
-// group's ring successors; cells no shard could run come back as
-// synthesized failed lines, never a dropped index. Per-shard summary
-// lines are swallowed and replaced with one merged summary.
+// handleBatch serves POST /v1/batch through the shared fan-out.
 func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
+	g.serveBatch(w, r, svc.ReadBatchBody)
+}
+
+// handleDSE serves POST /v1/dse: the exploration is expanded exactly as
+// a shard would expand it and its design points ride the batch fan-out
+// as ordinary cells; the shared post-pass renders each as a DSEPoint
+// and computes the Pareto frontier over every completed point.
+func (g *Gateway) handleDSE(w http.ResponseWriter, r *http.Request) {
+	g.serveBatch(w, r, svc.ReadDSEBody)
+}
+
+// serveBatch splits one batch group across the ring by each cell's
+// spec hash and merges the shards' NDJSON streams back into a single
+// response. The body is parsed and normalized by the shards' own
+// parser, so a bad body is refused here with the status and error
+// shape a shard would answer, before any shard sees a byte. Each shard
+// group is one upstream POST /v1/batch carrying explicit per-line
+// index fields, so a cell's index survives the split; lines are
+// relayed to the client as they arrive, serialized through one writer.
+// A failed sub-batch reroutes its unanswered cells to the group's ring
+// successors; cells no shard could run come back as synthesized failed
+// lines, never a dropped index. Per-shard summary lines are swallowed
+// and replaced with one merged summary.
+func (g *Gateway) serveBatch(w http.ResponseWriter, r *http.Request, parse func(http.ResponseWriter, *http.Request) (*svc.BatchRequest, error)) {
 	if !g.guardConfigConsensus(w) {
 		return
 	}
-	cells, ok := g.readBatchCells(w, r)
-	if !ok {
+	req, err := parse(w, r)
+	var norms []svc.JobSpec
+	var hashes []string
+	if err == nil {
+		norms, hashes, err = req.Normalize()
+	}
+	if err != nil {
+		svc.WriteRequestError(w, err)
 		return
 	}
 	g.metrics.proxiedInc()
 	groups := make(map[string][]batchCell)
-	for _, c := range cells {
-		owner := g.routeOrder(c.hash)[0]
-		groups[owner] = append(groups[owner], c)
+	for i, norm := range norms {
+		owner := g.routeOrder(hashes[i])[0]
+		groups[owner] = append(groups[owner], batchCell{index: req.Indices[i], spec: norm, hash: hashes[i]})
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Batch-Cells", strconv.Itoa(len(cells)))
+	w.Header().Set(req.CountHeader(), strconv.Itoa(len(norms)))
 	w.WriteHeader(http.StatusOK)
-	mw := &mergeWriter{w: w}
+	mw := &mergeWriter{w: w, req: req}
 	if fl, ok := w.(http.Flusher); ok {
 		mw.fl = fl
 		// Headers out before the first shard answers, so streaming
@@ -69,100 +85,25 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}(shard, group)
 	}
 	wg.Wait()
-	sum, _ := json.Marshal(svc.BatchSummary{
-		Done:      true,
-		Cells:     len(cells),
-		Failed:    mw.failed,
-		FromCache: mw.fromCache,
-	})
-	mw.writeCell(sum, false, false)
+	sum, _ := json.Marshal(req.Summary())
+	mw.writeLine(sum)
 }
 
-// readBatchCells parses and normalizes the batch body — NDJSON lines
-// or, under Content-Type application/json, the compact grid form — and
-// computes each cell's routing hash. On failure it writes the error
-// (400 with the line number, 413 past the caps) and reports ok=false.
-func (g *Gateway) readBatchCells(w http.ResponseWriter, r *http.Request) ([]batchCell, bool) {
-	body := http.MaxBytesReader(w, r.Body, maxBatchBody)
-	var cells []batchCell
-	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/json") {
-		dec := json.NewDecoder(body)
-		dec.DisallowUnknownFields()
-		var grid svc.BatchGrid
-		if err := dec.Decode(&grid); err != nil {
-			writeGatewayError(w, statusForBodyErr(err), "bad batch grid: "+err.Error())
-			return nil, false
-		}
-		for i, spec := range grid.Expand() {
-			cells = append(cells, batchCell{index: i, spec: spec})
-		}
-	} else {
-		sc := bufio.NewScanner(body)
-		sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-		line := 0
-		for sc.Scan() {
-			line++
-			raw := bytes.TrimSpace(sc.Bytes())
-			if len(raw) == 0 {
-				continue
-			}
-			var bl struct {
-				svc.JobSpec
-				Index *int `json:"index"`
-			}
-			dec := json.NewDecoder(bytes.NewReader(raw))
-			dec.DisallowUnknownFields()
-			if err := dec.Decode(&bl); err != nil {
-				writeGatewayError(w, http.StatusBadRequest,
-					fmt.Sprintf("bad batch line %d: %v", line, err))
-				return nil, false
-			}
-			idx := len(cells)
-			if bl.Index != nil {
-				idx = *bl.Index
-			}
-			cells = append(cells, batchCell{index: idx, spec: bl.JobSpec})
-		}
-		if err := sc.Err(); err != nil {
-			writeGatewayError(w, statusForBodyErr(err), "reading batch body: "+err.Error())
-			return nil, false
-		}
+// guardConfigConsensus refuses a write when the ready shards disagree
+// on their hardware config-set hash. Routing a job into a split-config
+// cluster is a wrong-result hazard, not an availability problem: both
+// shards would answer 200, with different cycle counts for the same
+// canonical spec hash, and reroutes/rebalances would mix them in the
+// same memo space. 503 until the operator converges the fleet.
+func (g *Gateway) guardConfigConsensus(w http.ResponseWriter) bool {
+	if _, ok := g.prober.ConfigConsensus(); !ok {
+		g.metrics.configMismatchInc()
+		w.Header().Set("Retry-After", "1")
+		writeGatewayError(w, http.StatusServiceUnavailable,
+			"cluster: ready shards report different hardware config-set hashes; refusing to route until they agree")
+		return false
 	}
-	if len(cells) == 0 {
-		writeGatewayError(w, http.StatusBadRequest, "cluster: empty batch")
-		return nil, false
-	}
-	if len(cells) > svc.MaxBatchCells {
-		writeGatewayError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("cluster: batch of %d cells exceeds cap of %d", len(cells), svc.MaxBatchCells))
-		return nil, false
-	}
-	// Normalize and hash here: no shard would accept an invalid spec, so
-	// routing it through the ring would just multiply the error.
-	for i := range cells {
-		norm, err := cells[i].spec.Normalize()
-		if err != nil {
-			writeGatewayError(w, http.StatusBadRequest, fmt.Sprintf("batch cell %d: %v", i, err))
-			return nil, false
-		}
-		hash, err := norm.Hash()
-		if err != nil {
-			writeGatewayError(w, http.StatusBadRequest, fmt.Sprintf("batch cell %d: %v", i, err))
-			return nil, false
-		}
-		cells[i].spec, cells[i].hash = norm, hash
-	}
-	return cells, true
-}
-
-// statusForBodyErr maps a body-read failure onto 413 when it came from
-// the MaxBytesReader cap and 400 otherwise.
-func statusForBodyErr(err error) int {
-	var mbe *http.MaxBytesError
-	if errors.As(err, &mbe) {
-		return http.StatusRequestEntityTooLarge
-	}
-	return http.StatusBadRequest
+	return true
 }
 
 // streamSubBatch drives one shard group to completion: try each
@@ -261,31 +202,11 @@ func (g *Gateway) streamAttempt(r *http.Request, shard, path string, pend []batc
 		return true, ""
 	}
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+	sc.Buffer(nil, 1<<20) // grows from the small default; cell lines are ~1 KB
 	for sc.Scan() {
-		raw := bytes.TrimSpace(sc.Bytes())
-		if len(raw) == 0 {
-			continue
+		if index, ok := mw.relay(bytes.TrimSpace(sc.Bytes())); ok {
+			answered[index] = true
 		}
-		var probe struct {
-			Index     *int   `json:"index"`
-			ID        string `json:"id"`
-			State     string `json:"state"`
-			FromCache bool   `json:"from_cache"`
-			Done      bool   `json:"done"`
-		}
-		if err := json.Unmarshal(raw, &probe); err != nil {
-			continue
-		}
-		if probe.ID == "" && probe.Done {
-			// The shard's own summary: swallowed, the gateway emits one
-			// merged summary after every group finishes.
-			continue
-		}
-		if probe.Index != nil {
-			answered[*probe.Index] = true
-		}
-		mw.writeCell(raw, probe.State == string(svc.Failed), probe.FromCache)
 	}
 	if err := sc.Err(); err != nil {
 		g.metrics.upstreamErrorInc()
@@ -297,25 +218,18 @@ func (g *Gateway) streamAttempt(r *http.Request, shard, path string, pend []batc
 
 // mergeWriter serializes concurrent shard streams into one NDJSON
 // response, flushing per line so the client sees cells as they
-// complete. The tallies are read without the lock only after every
-// group goroutine has finished.
+// complete, and runs every line through the request's post-pass under
+// its lock.
 type mergeWriter struct {
-	mu        sync.Mutex
-	w         io.Writer
-	fl        http.Flusher
-	failed    int
-	fromCache int
+	mu  sync.Mutex
+	w   io.Writer
+	fl  http.Flusher
+	req *svc.BatchRequest
 }
 
-func (mw *mergeWriter) writeCell(line []byte, failed, fromCache bool) {
-	mw.mu.Lock()
-	defer mw.mu.Unlock()
-	if failed {
-		mw.failed++
-	}
-	if fromCache {
-		mw.fromCache++
-	}
+// writeLine writes and flushes one NDJSON line; the caller holds mu or
+// has joined every shard goroutine.
+func (mw *mergeWriter) writeLine(line []byte) {
 	_, _ = mw.w.Write(line)
 	_, _ = mw.w.Write([]byte("\n"))
 	if mw.fl != nil {
@@ -323,15 +237,23 @@ func (mw *mergeWriter) writeCell(line []byte, failed, fromCache bool) {
 	}
 }
 
+// relay forwards one shard line (a cell, or the swallowed shard
+// summary) and reports the cell index it answered.
+func (mw *mergeWriter) relay(raw []byte) (int, bool) {
+	mw.mu.Lock()
+	defer mw.mu.Unlock()
+	line, index, ok := mw.req.Relay(raw)
+	if ok {
+		mw.writeLine(line)
+	}
+	return index, ok
+}
+
 // writeFailedCell emits a synthesized failed line for a cell no shard
 // could answer, preserving its index and spec so the client's
 // bookkeeping stays complete.
 func (mw *mergeWriter) writeFailedCell(c batchCell, msg string) {
-	line, _ := json.Marshal(struct {
-		Index int         `json:"index"`
-		Spec  svc.JobSpec `json:"spec"`
-		State svc.State   `json:"state"`
-		Error string      `json:"error"`
-	}{c.index, c.spec, svc.Failed, "cluster: " + msg})
-	mw.writeCell(line, true, false)
+	mw.mu.Lock()
+	defer mw.mu.Unlock()
+	mw.writeLine(mw.req.Failure(c.index, c.spec, "cluster: "+msg))
 }

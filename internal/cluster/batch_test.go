@@ -241,6 +241,20 @@ func TestGatewayBatchBadLineAndOversized(t *testing.T) {
 		t.Fatalf("malformed line: %d %q, want 400 naming line 2", resp.StatusCode, buf.String())
 	}
 
+	// An invalid spec after blank lines names its physical line.
+	bad := `{"machine":"Pentium","kernel":"corner-turn"}`
+	resp, err = http.Post(tc.gwSrv.URL+"/v1/batch", "application/x-ndjson",
+		strings.NewReader("\n\n"+string(good)+"\n"+bad+"\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	_, _ = buf.ReadFrom(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(buf.String(), "line 4") {
+		t.Fatalf("invalid spec after blank lines: %d %q, want 400 naming line 4", resp.StatusCode, buf.String())
+	}
+
 	var big strings.Builder
 	for i := 0; i <= svc.MaxBatchCells; i++ {
 		fmt.Fprintf(&big, "%s\n", good)
@@ -257,5 +271,60 @@ func TestGatewayBatchBadLineAndOversized(t *testing.T) {
 		if n := len(s.Jobs()); n != 0 {
 			t.Fatalf("rejected batches leaked %d jobs to shard %s", n, name)
 		}
+	}
+}
+
+// TestGatewayBatchErrorParity posts the same bad bodies to a bare shard
+// and through the gateway: both must refuse them with the same status
+// and the same structured parameter/value, because both parse with the
+// one shared body parser.
+func TestGatewayBatchErrorParity(t *testing.T) {
+	tc := newTestCluster(t, nil)
+	good := `{"machine":"VIRAM","kernel":"corner-turn"}`
+	type badBody struct {
+		name, path, contentType, body string
+		status                        int
+		param, value                  string
+	}
+	cases := []badBody{
+		{"malformed line", "/v1/batch", "application/x-ndjson",
+			good + "\n{not json\n", http.StatusBadRequest, "line", "2"},
+		{"invalid spec after blank lines", "/v1/batch", "application/x-ndjson",
+			"\n\n" + good + "\n" + `{"machine":"Pentium","kernel":"corner-turn"}` + "\n",
+			http.StatusBadRequest, "line", "4"},
+		{"unknown dse axis", "/v1/dse", "application/json",
+			`{"base":` + good + `,"axes":[{"param":"viram.Warp","values":[1]}]}`,
+			http.StatusBadRequest, "", ""},
+		{"dse bad base machine", "/v1/dse", "application/json",
+			`{"base":{"machine":"Pentium","kernel":"corner-turn"}}`,
+			http.StatusBadRequest, "point", "base"},
+	}
+	post := func(url string, c badBody) (int, svc.ParamError) {
+		t.Helper()
+		resp, err := http.Post(url+c.path, c.contentType, strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var pe svc.ParamError
+		if err := json.NewDecoder(resp.Body).Decode(&pe); err != nil {
+			t.Fatalf("%s: undecodable error body: %v", c.name, err)
+		}
+		return resp.StatusCode, pe
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			shardStatus, shardPE := post(tc.servers["s1"].URL, c)
+			gwStatus, gwPE := post(tc.gwSrv.URL, c)
+			if shardStatus != c.status || gwStatus != c.status {
+				t.Fatalf("status shard %d gateway %d, want %d", shardStatus, gwStatus, c.status)
+			}
+			if shardPE.Parameter != gwPE.Parameter || shardPE.Value != gwPE.Value {
+				t.Fatalf("shard %+v, gateway %+v", shardPE, gwPE)
+			}
+			if gwPE.Parameter != c.param || gwPE.Value != c.value || gwPE.Error == "" {
+				t.Fatalf("ParamError %+v, want parameter %q value %q", gwPE, c.param, c.value)
+			}
+		})
 	}
 }

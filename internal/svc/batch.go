@@ -138,6 +138,25 @@ func (b *BatchRun) Cancel() {
 	})
 }
 
+// normalizeSpecs returns each spec's canonical form and hash, or a
+// *BatchSpecError naming the first invalid spec.
+func normalizeSpecs(specs []JobSpec) ([]JobSpec, []string, error) {
+	norms := make([]JobSpec, len(specs))
+	hashes := make([]string, len(specs))
+	for i, spec := range specs {
+		norm, err := spec.Normalize()
+		if err != nil {
+			return nil, nil, &BatchSpecError{Index: i, Err: err}
+		}
+		hash, err := norm.Hash()
+		if err != nil {
+			return nil, nil, &BatchSpecError{Index: i, Err: err}
+		}
+		norms[i], hashes[i] = norm, hash
+	}
+	return norms, hashes, nil
+}
+
 // SubmitBatch admits a group of specs as one unit — the service half of
 // the grid fast path. One admission covers the group: a single
 // deadline-budget drain check, one breaker probe per distinct machine
@@ -160,18 +179,9 @@ func (s *Service) SubmitBatch(ctx context.Context, specs []JobSpec, opts BatchOp
 	if len(specs) > MaxBatchCells {
 		return nil, ErrBatchTooLarge
 	}
-	norms := make([]JobSpec, len(specs))
-	hashes := make([]string, len(specs))
-	for i, spec := range specs {
-		norm, err := spec.Normalize()
-		if err != nil {
-			return nil, &BatchSpecError{Index: i, Err: err}
-		}
-		hash, err := norm.Hash()
-		if err != nil {
-			return nil, &BatchSpecError{Index: i, Err: err}
-		}
-		norms[i], hashes[i] = norm, hash
+	norms, hashes, err := normalizeSpecs(specs)
+	if err != nil {
+		return nil, err
 	}
 
 	// One deadline-budget check for the whole group: either the queue

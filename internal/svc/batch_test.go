@@ -293,6 +293,23 @@ func TestHTTPBatchMalformedLine(t *testing.T) {
 	if pe2.Parameter != "line" || pe2.Value != "2" {
 		t.Fatalf("ParamError = %+v, want line 2", pe2)
 	}
+
+	// Blank lines are skipped but still counted: the invalid spec is on
+	// physical line 4, not the second parsed spec.
+	resp3 := postNDJSON(t, srv.URL, "\n\n"+`{"machine":"VIRAM","kernel":"corner-turn"}
+{"machine":"Pentium","kernel":"corner-turn"}
+`)
+	defer resp3.Body.Close()
+	if resp3.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400", resp3.StatusCode)
+	}
+	var pe3 ParamError
+	if err := json.NewDecoder(resp3.Body).Decode(&pe3); err != nil {
+		t.Fatal(err)
+	}
+	if pe3.Parameter != "line" || pe3.Value != "4" {
+		t.Fatalf("ParamError = %+v, want line 4", pe3)
+	}
 }
 
 // TestHTTPBatchOversized pins the documented cap: more than

@@ -51,17 +51,11 @@ type DSERequest struct {
 	// Axes expand to the cross product of their values, appended after
 	// Deltas.
 	Axes []DSEAxis `json:"axes,omitempty"`
-	// Indices relabels the expanded points (len must equal the point
-	// count): the cluster gateway's split/merge plumbing, so a shard's
-	// point lines carry the gateway's global indices. Single-node
-	// clients omit it.
-	Indices []int `json:"indices,omitempty"`
 }
 
 // DSEDesign is one expanded design point before execution.
 type DSEDesign struct {
-	// Index is the point's position in the request's expansion (or its
-	// entry in DSERequest.Indices when the gateway relabeled it).
+	// Index is the point's position in the request's expansion.
 	Index int
 	// Label is a human-readable identity: "base", "delta[2]", or
 	// "viram.Lanes=8 raw.Mesh=2" for axis points.
@@ -236,14 +230,6 @@ func (r DSERequest) Expand() ([]DSEDesign, error) {
 	}
 	if len(points) > MaxDSEPoints {
 		return nil, fmt.Errorf("%w: %d points (max %d)", ErrDSETooLarge, len(points), MaxDSEPoints)
-	}
-	if len(r.Indices) > 0 {
-		if len(r.Indices) != len(points) {
-			return nil, fmt.Errorf("svc: %d indices for %d points", len(r.Indices), len(points))
-		}
-		for i := range points {
-			points[i].Index = r.Indices[i]
-		}
 	}
 	return points, nil
 }

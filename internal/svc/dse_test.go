@@ -15,8 +15,7 @@ import (
 )
 
 // TestDSEExpand pins the expansion contract: deltas first, then the
-// axes' row-major cross product, base-only when neither is given, and
-// Indices relabeling for the gateway split.
+// axes' row-major cross product, and base-only when neither is given.
 func TestDSEExpand(t *testing.T) {
 	base := JobSpec{Machine: "VIRAM", Kernel: core.CornerTurn}
 
@@ -68,25 +67,21 @@ func TestDSEExpand(t *testing.T) {
 		}
 	})
 
-	t.Run("deltas precede axes and Indices relabel", func(t *testing.T) {
+	t.Run("deltas precede axes", func(t *testing.T) {
 		req := DSERequest{
-			Base:    base,
-			Deltas:  []machines.ConfigSet{{}},
-			Axes:    []DSEAxis{{Param: "viram.MVL", Values: []int{128}}},
-			Indices: []int{7, 9},
+			Base:   base,
+			Deltas: []machines.ConfigSet{{}},
+			Axes:   []DSEAxis{{Param: "viram.MVL", Values: []int{128}}},
 		}
 		designs, err := req.Expand()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(designs) != 2 || designs[0].Index != 7 || designs[1].Index != 9 {
+		if len(designs) != 2 || designs[0].Index != 0 || designs[1].Index != 1 {
 			t.Fatalf("designs = %+v", designs)
 		}
 		if designs[0].Spec.Config != nil {
 			t.Fatalf("empty delta kept a config: %+v", designs[0].Spec.Config)
-		}
-		if _, err := (DSERequest{Base: base, Indices: []int{1, 2}}).Expand(); err == nil {
-			t.Fatal("mismatched Indices length accepted")
 		}
 	})
 

@@ -69,19 +69,24 @@ const StatusClientClosedRequest = 499
 //	                         back as application/x-ndjson in completion
 //	                         order, each line a job snapshot with its
 //	                         cell index, then a final summary line.
-//	                         Malformed lines are 400 with the 1-based
-//	                         line number; more than MaxBatchCells cells
-//	                         or a body over 16 MiB is 413. Disconnecting
-//	                         cancels only cells that have not started.
-//	POST /v1/dse             design-space exploration: one base spec
+//	                         Malformed lines and invalid specs are 400
+//	                         with the 1-based physical line number
+//	                         (blank lines count); more than
+//	                         MaxBatchCells cells or a body over 16 MiB
+//	                         is 413. Disconnecting cancels only cells
+//	                         that have not started.
+//	POST /v1/dse             design-space exploration, as expansion +
+//	                         batch + frontier post-pass: one base spec
 //	                         plus config deltas and/or named sweep axes
-//	                         (see DSERequest), expanded server-side and
-//	                         admitted as one batch group. Per-point
-//	                         results stream back as application/x-ndjson
-//	                         in completion order; the final summary line
-//	                         carries the Pareto frontier over simulated
-//	                         cycles vs the machine's area proxy. More
-//	                         than MaxDSEPoints points is 413.
+//	                         (see DSERequest) expands to batch cells
+//	                         admitted as one group. Each completed cell
+//	                         streams back as a DSEPoint line
+//	                         (application/x-ndjson, completion order);
+//	                         the final summary line carries the Pareto
+//	                         frontier over simulated cycles vs the
+//	                         machine's area proxy. An invalid point is
+//	                         400 naming its label; more than
+//	                         MaxDSEPoints points is 413.
 //	GET  /v1/jobs            list tracked jobs
 //	GET  /v1/jobs/{id}       one job's status and result
 //	GET  /v1/jobs/{id}/trace the job's lifecycle trace (span events)
