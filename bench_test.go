@@ -34,7 +34,9 @@ import (
 )
 
 // benchKernel runs one kernel on one machine per iteration and reports
-// the simulated kilocycles.
+// the simulated kilocycles and the wall time per simulated cycle, which
+// makes simulator cost comparable across machines whose cycle counts
+// differ by orders of magnitude.
 func benchKernel(b *testing.B, m core.Machine, k core.KernelID) {
 	b.Helper()
 	w := core.PaperWorkload()
@@ -50,6 +52,9 @@ func benchKernel(b *testing.B, m core.Machine, k core.KernelID) {
 	}
 	b.ReportMetric(last.KCycles(), "sim-kcycles")
 	b.ReportMetric(last.OpsPerCycle(), "sim-ops/cycle")
+	if last.Cycles > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(last.Cycles), "ns/sim-cycle")
+	}
 }
 
 // --- Table 1: peak throughput -------------------------------------------

@@ -78,6 +78,12 @@ func RawTileCache(tile int) Config {
 	}
 }
 
+var (
+	cHits       = sim.NewCounter("hits")
+	cMisses     = sim.NewCounter("misses")
+	cWritebacks = sim.NewCounter("writebacks")
+)
+
 type line struct {
 	tag   int
 	valid bool
@@ -86,12 +92,20 @@ type line struct {
 }
 
 // Cache is one simulated cache level. It is not safe for concurrent use.
+//
+// The lines of all sets live in one flat slice, set s occupying
+// lines[s*Assoc : (s+1)*Assoc]. Validate guarantees power-of-two line
+// and set counts, so an address splits into tag, set and offset by
+// shifts and a mask.
 type Cache struct {
-	cfg   Config
-	sets  [][]line
-	lower Level
-	tick  uint64
-	stats sim.Stats
+	cfg       Config
+	lines     []line
+	lineShift uint // log2(LineBytes)
+	setShift  uint // log2(number of sets)
+	setMask   int  // number of sets - 1
+	lower     Level
+	tick      uint64
+	stats     sim.Stats
 }
 
 // New returns a cache over the given lower level. It panics on an invalid
@@ -108,22 +122,19 @@ func New(cfg Config, lower Level) *Cache {
 	return c
 }
 
-// Reset invalidates every line and clears statistics. The set arrays
-// are allocated once (over a single flat backing slice) and zeroed on
-// later resets: the simulators reset between every kernel run, and the
-// PPC hierarchy alone holds over a thousand sets.
+// Reset invalidates every line and clears statistics. The lines are
+// allocated once and zeroed on later resets: the simulators reset
+// between every kernel run, and the PPC hierarchy alone holds over a
+// thousand sets.
 func (c *Cache) Reset() {
 	nsets := c.cfg.SizeBytes / (c.cfg.LineBytes * c.cfg.Assoc)
-	if len(c.sets) != nsets {
-		backing := make([]line, nsets*c.cfg.Assoc)
-		c.sets = make([][]line, nsets)
-		for i := range c.sets {
-			c.sets[i] = backing[i*c.cfg.Assoc : (i+1)*c.cfg.Assoc : (i+1)*c.cfg.Assoc]
-		}
+	if len(c.lines) != nsets*c.cfg.Assoc {
+		c.lines = make([]line, nsets*c.cfg.Assoc)
+		c.lineShift = uint(bits.TrailingZeros(uint(c.cfg.LineBytes)))
+		c.setShift = uint(bits.TrailingZeros(uint(nsets)))
+		c.setMask = nsets - 1
 	} else {
-		for i := range c.sets {
-			clear(c.sets[i])
-		}
+		clear(c.lines)
 	}
 	c.tick = 0
 	c.stats = sim.Stats{}
@@ -147,22 +158,23 @@ func (c *Cache) Access(addr int, write bool) uint64 {
 		addr = -addr
 	}
 	c.tick++
-	lineAddr := addr / c.cfg.LineBytes
-	set := lineAddr % len(c.sets)
-	tag := lineAddr / len(c.sets)
+	lineAddr := addr >> c.lineShift
+	set := lineAddr & c.setMask
+	tag := lineAddr >> c.setShift
 
-	ways := c.sets[set]
+	assoc := c.cfg.Assoc
+	ways := c.lines[set*assoc : set*assoc+assoc]
 	for i := range ways {
 		if ways[i].valid && ways[i].tag == tag {
 			ways[i].used = c.tick
 			if write {
 				ways[i].dirty = true
 			}
-			c.stats.Inc("hits", 1)
+			c.stats.Inc(cHits, 1)
 			return uint64(c.cfg.HitLatency)
 		}
 	}
-	c.stats.Inc("misses", 1)
+	c.stats.Inc(cMisses, 1)
 
 	// Choose the LRU victim.
 	victim := 0
@@ -179,9 +191,9 @@ func (c *Cache) Access(addr int, write bool) uint64 {
 	if ways[victim].valid && ways[victim].dirty {
 		// Write back the victim. Writebacks are buffered in real machines;
 		// we charge the lower level's occupancy but not its full latency.
-		victimAddr := (ways[victim].tag*len(c.sets) + set) * c.cfg.LineBytes
+		victimAddr := (ways[victim].tag<<c.setShift | set) << c.lineShift
 		c.lower.Access(victimAddr, true)
-		c.stats.Inc("writebacks", 1)
+		c.stats.Inc(cWritebacks, 1)
 	}
 	lat += c.lower.Access(addr, false)
 	ways[victim] = line{tag: tag, valid: true, dirty: write, used: c.tick}
@@ -190,7 +202,7 @@ func (c *Cache) Access(addr int, write bool) uint64 {
 
 // MissRate returns misses / (hits + misses), or 0 when idle.
 func (c *Cache) MissRate() float64 {
-	h, m := c.stats.Get("hits"), c.stats.Get("misses")
+	h, m := c.stats.Value(cHits), c.stats.Value(cMisses)
 	if h+m == 0 {
 		return 0
 	}

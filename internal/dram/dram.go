@@ -166,6 +166,15 @@ type StreamResult struct {
 	Words uint64
 }
 
+var (
+	cRowMisses      = sim.NewCounter("row_misses")
+	cWordsRead      = sim.NewCounter("words_read")
+	cWordsWritten   = sim.NewCounter("words_written")
+	cStreamRequests = sim.NewCounter("stream_requests")
+	cBusyCycles     = sim.NewCounter("busy_cycles")
+	cLineFetches    = sim.NewCounter("line_fetches")
+)
+
 // Controller simulates one DRAM array. It is not safe for concurrent use.
 type Controller struct {
 	cfg      Config
@@ -189,13 +198,18 @@ func NewController(cfg Config) *Controller {
 // Config returns the controller's configuration.
 func (c *Controller) Config() Config { return c.cfg }
 
-// Reset closes all rows and rewinds the clock.
+// Reset closes all rows and rewinds the clock. The per-bank slices are
+// allocated once and cleared in place on later resets: a reused machine
+// resets its controllers before every job.
 func (c *Controller) Reset() {
-	c.openRow = make([]int, c.cfg.Banks)
-	c.bankFree = make([]uint64, c.cfg.Banks)
+	if len(c.openRow) != c.cfg.Banks {
+		c.openRow = make([]int, c.cfg.Banks)
+		c.bankFree = make([]uint64, c.cfg.Banks)
+	}
 	for i := range c.openRow {
 		c.openRow[i] = -1
 	}
+	clear(c.bankFree)
 	c.clock.Reset()
 	c.stats = sim.Stats{}
 }
@@ -298,7 +312,6 @@ func (c *Controller) Stream(req Request) StreamResult {
 		serve := issue
 		if c.openRow[bank] != row {
 			res.RowMisses++
-			c.stats.Inc("row_misses", 1)
 			if c.cfg.Reorder {
 				// The streaming controller schedules around activates;
 				// the bank is refreshed in the background.
@@ -325,17 +338,20 @@ func (c *Controller) Stream(req Request) StreamResult {
 			inSlot = 0
 			issue++
 		}
-		if req.Write {
-			c.stats.Inc("words_written", 1)
-		} else {
-			c.stats.Inc("words_read", 1)
-		}
 	}
 	end := finish + 1
 	res.Cycles = end - start
 	c.clock.AdvanceTo(end)
-	c.stats.Inc("stream_requests", 1)
-	c.stats.Inc("busy_cycles", res.Cycles)
+	if res.RowMisses > 0 {
+		c.stats.Inc(cRowMisses, res.RowMisses)
+	}
+	if req.Write {
+		c.stats.Inc(cWordsWritten, res.Words)
+	} else {
+		c.stats.Inc(cWordsRead, res.Words)
+	}
+	c.stats.Inc(cStreamRequests, 1)
+	c.stats.Inc(cBusyCycles, res.Cycles)
 	return res
 }
 
@@ -349,11 +365,11 @@ func (c *Controller) LineFetch(addr, lineWords int) uint64 {
 	if c.openRow[bank] != row {
 		lat += uint64(c.cfg.TRP + c.cfg.TRCD)
 		c.openRow[bank] = row
-		c.stats.Inc("row_misses", 1)
+		c.stats.Inc(cRowMisses, 1)
 	}
 	lat += sim.CeilDiv(uint64(lineWords), uint64(c.cfg.SeqWordsPerCycle))
-	c.stats.Inc("line_fetches", 1)
-	c.stats.Inc("words_read", uint64(lineWords))
+	c.stats.Inc(cLineFetches, 1)
+	c.stats.Inc(cWordsRead, uint64(lineWords))
 	return lat
 }
 

@@ -122,6 +122,18 @@ type KernelDesc struct {
 	AddsPerIter, MulsPerIter, DivsPerIter, CommPerIter int
 }
 
+var (
+	cMemory            = sim.NewCounter("memory")
+	cCompute           = sim.NewCounter("compute")
+	cOther             = sim.NewCounter("other")
+	cDescriptorStalls  = sim.NewCounter("descriptor_stalls")
+	cMemWords          = sim.NewCounter("mem_words")
+	cSRFWords          = sim.NewCounter("srf_words")
+	cKernelInvocations = sim.NewCounter("kernel_invocations")
+	cKernelCycles      = sim.NewCounter("kernel_cycles")
+	cClusterOps        = sim.NewCounter("cluster_ops")
+)
+
 // Machine is one Imagine instance. It is not safe for concurrent use.
 type Machine struct {
 	cfg Config
@@ -203,7 +215,7 @@ func (m *Machine) acquireDescriptor(t uint64) uint64 {
 		}
 	}
 	if m.inflight[minIdx] > t {
-		m.stats.Inc("descriptor_stalls", m.inflight[minIdx]-t)
+		m.stats.Inc(cDescriptorStalls, m.inflight[minIdx]-t)
 		t = m.inflight[minIdx]
 	}
 	m.inflight = append(m.inflight[:minIdx], m.inflight[minIdx+1:]...)
@@ -238,8 +250,8 @@ func (m *Machine) memStream(words int, stride int, write bool, ready uint64) uin
 	done := start + sr.Cycles
 	m.mcFree[mc] = done
 	m.inflight = append(m.inflight, done)
-	m.breakdown.Add("memory", sr.Cycles)
-	m.stats.Inc("mem_words", uint64(words))
+	m.breakdown.Add(cMemory, sr.Cycles)
+	m.stats.Inc(cMemWords, uint64(words))
 	m.noteEnd(done)
 	return done
 }
@@ -257,7 +269,7 @@ func (m *Machine) srfStream(words int, ready uint64) uint64 {
 	dur := m.srf.TransferCycles(uint64(words))
 	done := start + dur
 	m.srfFree = done
-	m.stats.Inc("srf_words", uint64(words))
+	m.stats.Inc(cSRFWords, uint64(words))
 	m.noteEnd(done)
 	return done
 }
@@ -300,11 +312,11 @@ func (m *Machine) runKernel(k KernelDesc, ready uint64) uint64 {
 	dur := m.kernelCycles(k)
 	done := start + dur
 	m.clusterFree = done
-	m.breakdown.Add("compute", dur)
-	m.stats.Inc("kernel_invocations", 1)
-	m.stats.Inc("kernel_cycles", dur)
+	m.breakdown.Add(cCompute, dur)
+	m.stats.Inc(cKernelInvocations, 1)
+	m.stats.Inc(cKernelCycles, dur)
 	ops := uint64(k.Iterations) * uint64(k.AddsPerIter+k.MulsPerIter+k.DivsPerIter) * uint64(m.cfg.Clusters)
-	m.stats.Inc("cluster_ops", ops)
+	m.stats.Inc(cClusterOps, ops)
 	m.noteEnd(done)
 	return done
 }
@@ -322,12 +334,13 @@ func (m *Machine) finish(kernel core.KernelID, ops, words uint64) core.Result {
 	total := m.end
 	// Normalize the memory category to per-controller occupancy so its
 	// fraction of the total is meaningful.
-	memBusy := m.breakdown.Get("memory") / uint64(m.cfg.MemControllers)
+	memBusy := m.breakdown.Value(cMemory) / uint64(m.cfg.MemControllers)
+	compute := m.breakdown.Value(cCompute)
 	b := sim.Breakdown{}
-	b.Add("memory", memBusy)
-	b.Add("compute", m.breakdown.Get("compute"))
-	if busiest := max64(memBusy, m.breakdown.Get("compute")); total > busiest {
-		b.Add("other", total-busiest)
+	b.Add(cMemory, memBusy)
+	b.Add(cCompute, compute)
+	if busiest := max64(memBusy, compute); total > busiest {
+		b.Add(cOther, total-busiest)
 	}
 	return core.Result{
 		Machine:   m.cfg.Name,

@@ -61,6 +61,14 @@ type link struct {
 	from, to int
 }
 
+var (
+	cStaticLinkStalls  = sim.NewCounter("static_link_stalls")
+	cStaticWords       = sim.NewCounter("static_words")
+	cDynamicLinkStalls = sim.NewCounter("dynamic_link_stalls")
+	cPackets           = sim.NewCounter("packets")
+	cDynamicWords      = sim.NewCounter("dynamic_words")
+)
+
 // Mesh is a simulated mesh network. It is not safe for concurrent use.
 type Mesh struct {
 	cfg      Config
@@ -186,7 +194,7 @@ func (m *Mesh) SendStatic(from, to, words int, start uint64) uint64 {
 	begin := start
 	for _, l := range links {
 		if f := m.linkFree[l]; f > begin {
-			m.stats.Inc("static_link_stalls", f-begin)
+			m.stats.Inc(cStaticLinkStalls, f-begin)
 			begin = f
 		}
 	}
@@ -194,7 +202,7 @@ func (m *Mesh) SendStatic(from, to, words int, start uint64) uint64 {
 	for _, l := range links {
 		m.linkFree[l] = begin + uint64(words)
 	}
-	m.stats.Inc("static_words", uint64(words))
+	m.stats.Inc(cStaticWords, uint64(words))
 	return begin + m.StaticLatency(from, to) + uint64(words-1)
 }
 
@@ -218,7 +226,7 @@ func (m *Mesh) SendPacket(from, to, payloadWords int, start uint64) uint64 {
 	t := start
 	for _, l := range links {
 		if f := m.linkFree[l]; f > t {
-			m.stats.Inc("dynamic_link_stalls", f-t)
+			m.stats.Inc(cDynamicLinkStalls, f-t)
 			t = f
 		}
 		m.linkFree[l] = t + flits
@@ -227,8 +235,8 @@ func (m *Mesh) SendPacket(from, to, payloadWords int, start uint64) uint64 {
 	if len(links) == 0 {
 		t += flits
 	}
-	m.stats.Inc("packets", 1)
-	m.stats.Inc("dynamic_words", flits)
+	m.stats.Inc(cPackets, 1)
+	m.stats.Inc(cDynamicWords, flits)
 	return t
 }
 

@@ -111,6 +111,13 @@ func (c Config) Validate() error {
 	return c.DRAM.Validate()
 }
 
+var (
+	cCompute      = sim.NewCounter("compute")
+	cMemory       = sim.NewCounter("memory")
+	cInstructions = sim.NewCounter("instructions")
+	cMemAccesses  = sim.NewCounter("mem_accesses")
+)
+
 // Machine is one G4 instance (scalar or AltiVec). It is not safe for
 // concurrent use.
 type Machine struct {
@@ -201,8 +208,8 @@ func (m *Machine) loopCycles(l loopMix) uint64 {
 		perIter = l.critical
 	}
 	cycles := l.iters * perIter
-	m.bk.Add("compute", cycles)
-	m.st.Inc("instructions", l.iters*total)
+	m.bk.Add(cCompute, cycles)
+	m.st.Inc(cInstructions, l.iters*total)
 	return cycles
 }
 
@@ -218,14 +225,14 @@ func (m *Machine) access(addr int, write bool) {
 			m.readStall += float64(lat - hit)
 		}
 	}
-	m.st.Inc("mem_accesses", 1)
+	m.st.Inc(cMemAccesses, 1)
 }
 
 // memStallCycles converts accumulated miss latency into stall cycles via
 // the read and write MLP factors and charges them to the breakdown.
 func (m *Machine) memStallCycles() uint64 {
 	stall := uint64(m.readStall/m.cfg.MLP + m.writeStal/m.cfg.MLPStore)
-	m.bk.Add("memory", stall)
+	m.bk.Add(cMemory, stall)
 	m.readStall = 0
 	m.writeStal = 0
 	return stall

@@ -99,6 +99,20 @@ type Machine struct {
 	stats     sim.Stats
 }
 
+var (
+	cCompute       = sim.NewCounter("compute")
+	cAddrLoop      = sim.NewCounter("addr-loop")
+	cLoadStore     = sim.NewCounter("load-store")
+	cNetWait       = sim.NewCounter("net-wait")
+	cCacheStall    = sim.NewCounter("cache-stall")
+	cImbalanceIdle = sim.NewCounter("imbalance-idle")
+	cInstructions  = sim.NewCounter("instructions")
+	cLocalAccesses = sim.NewCounter("local_accesses")
+	cPortWordsIn   = sim.NewCounter("port_words_in")
+	cPortWordsOut  = sim.NewCounter("port_words_out")
+	cCacheMisses   = sim.NewCounter("cache_misses")
+)
+
 // New returns a machine for cfg, panicking on invalid configuration.
 func New(cfg Config) *Machine {
 	if err := cfg.Validate(); err != nil {
@@ -204,19 +218,19 @@ func (m *Machine) tilePort(tile int) int {
 }
 
 // compute advances a tile by n single-issue ALU instructions.
-func (m *Machine) compute(tile int, n int, category string) {
+func (m *Machine) compute(tile int, n int, category sim.Counter) {
 	m.tileClock[tile] += uint64(n)
 	m.tileBusy[tile].Add(category, uint64(n))
-	m.stats.Inc("instructions", uint64(n))
+	m.stats.Inc(cInstructions, uint64(n))
 }
 
 // localMem advances a tile by n local-SRAM load/store instructions
 // (single cycle each on Raw).
 func (m *Machine) localMem(tile int, n int) {
 	m.tileClock[tile] += uint64(n)
-	m.tileBusy[tile].Add("load-store", uint64(n))
-	m.stats.Inc("instructions", uint64(n))
-	m.stats.Inc("local_accesses", uint64(n))
+	m.tileBusy[tile].Add(cLoadStore, uint64(n))
+	m.stats.Inc(cInstructions, uint64(n))
+	m.stats.Inc(cLocalAccesses, uint64(n))
 }
 
 // portIn streams words from the tile's DRAM port over the static network
@@ -243,19 +257,19 @@ func (m *Machine) portIn(tile, words int, storeInstrs bool) {
 	instrDone := m.tileClock[tile]
 	if storeInstrs {
 		instrDone += uint64(words)
-		m.tileBusy[tile].Add("load-store", uint64(words))
-		m.stats.Inc("instructions", uint64(words))
+		m.tileBusy[tile].Add(cLoadStore, uint64(words))
+		m.stats.Inc(cInstructions, uint64(words))
 	}
 	if instrDone > finish {
 		finish = instrDone
 	}
 	if finish > instrDone {
-		m.tileBusy[tile].Add("net-wait", finish-instrDone)
+		m.tileBusy[tile].Add(cNetWait, finish-instrDone)
 	}
 	if finish > m.tileClock[tile] {
 		m.tileClock[tile] = finish
 	}
-	m.stats.Inc("port_words_in", uint64(words))
+	m.stats.Inc(cPortWordsIn, uint64(words))
 }
 
 // portOut streams words from the tile to its DRAM port. If loadInstrs is
@@ -269,8 +283,8 @@ func (m *Machine) portOut(tile, words int, loadInstrs bool) {
 	start := m.tileClock[tile]
 	if loadInstrs {
 		m.tileClock[tile] += uint64(words)
-		m.tileBusy[tile].Add("load-store", uint64(words))
-		m.stats.Inc("instructions", uint64(words))
+		m.tileBusy[tile].Add(cLoadStore, uint64(words))
+		m.stats.Inc(cInstructions, uint64(words))
 	}
 	m.mesh.SendStatic(tile, m.mesh.PortTile(port), words, start)
 	ctl := m.ports[port]
@@ -283,7 +297,7 @@ func (m *Machine) portOut(tile, words int, loadInstrs bool) {
 	ctl.SyncTo(wstart)
 	sr := ctl.Stream(dram.Request{Stride: 1, Count: words, Write: true})
 	m.portFree[port] = wstart + sr.Cycles
-	m.stats.Inc("port_words_out", uint64(words))
+	m.stats.Inc(cPortWordsOut, uint64(words))
 }
 
 // cacheFill charges a tile for line cache misses served over the dynamic
@@ -302,9 +316,9 @@ func (m *Machine) cacheFill(tile, lines int) {
 		resp := m.mesh.SendPacket(portTile, tile, m.cfg.CacheLineWords, req+lat)
 		stall := resp - t
 		m.tileClock[tile] += stall
-		m.tileBusy[tile].Add("cache-stall", stall)
+		m.tileBusy[tile].Add(cCacheStall, stall)
 	}
-	m.stats.Inc("cache_misses", uint64(lines))
+	m.stats.Inc(cCacheMisses, uint64(lines))
 }
 
 // finish assembles a core.Result: total cycles are the slowest tile's
@@ -325,7 +339,7 @@ func (m *Machine) finish(kernel core.KernelID, ops, words uint64) core.Result {
 	}
 	// Average the per-tile categories so fractions are per-tile shares.
 	b.Scale(1, uint64(m.mesh.Tiles()))
-	b.Add("imbalance-idle", idle/uint64(m.mesh.Tiles()))
+	b.Add(cImbalanceIdle, idle/uint64(m.mesh.Tiles()))
 	return core.Result{
 		Machine:   m.cfg.Name,
 		Kernel:    kernel,

@@ -34,7 +34,7 @@ func TestConfigValidate(t *testing.T) {
 
 func TestComputeAdvancesOneTileOnly(t *testing.T) {
 	m := New(DefaultConfig())
-	m.compute(3, 100, "compute")
+	m.compute(3, 100, cCompute)
 	if m.tileClock[3] != 100 {
 		t.Fatalf("tile 3 clock = %d", m.tileClock[3])
 	}

@@ -9,6 +9,7 @@ import (
 	"sigkern/internal/kernels/beamsteer"
 	"sigkern/internal/kernels/cornerturn"
 	"sigkern/internal/kernels/cslc"
+	"sigkern/internal/sim"
 )
 
 func TestTableAlignment(t *testing.T) {
@@ -195,7 +196,7 @@ func (s *stubMachine) Params() core.Params {
 func (s *stubMachine) result(k core.KernelID, base uint64) (core.Result, error) {
 	r := core.Result{Machine: s.name, Kernel: k, Cycles: base * s.scale,
 		Ops: 1, Words: 1, Verified: true}
-	r.Breakdown.Add("compute", base*s.scale)
+	r.Breakdown.Add(sim.NewCounter("compute"), base*s.scale)
 	return r, nil
 }
 func (s *stubMachine) RunCornerTurn(cornerturn.Spec) (core.Result, error) {

@@ -42,9 +42,9 @@ func TestClockReset(t *testing.T) {
 
 func TestBreakdownAddGetTotal(t *testing.T) {
 	var b Breakdown
-	b.Add("memory", 70)
-	b.Add("compute", 30)
-	b.Add("memory", 10)
+	b.Add(NewCounter("memory"), 70)
+	b.Add(NewCounter("compute"), 30)
+	b.Add(NewCounter("memory"), 10)
 	if got := b.Get("memory"); got != 80 {
 		t.Fatalf("Get(memory) = %d, want 80", got)
 	}
@@ -61,8 +61,8 @@ func TestBreakdownFraction(t *testing.T) {
 	if f := b.Fraction("x"); f != 0 {
 		t.Fatalf("empty breakdown Fraction = %v, want 0", f)
 	}
-	b.Add("a", 25)
-	b.Add("b", 75)
+	b.Add(NewCounter("a"), 25)
+	b.Add(NewCounter("b"), 75)
 	if f := b.Fraction("b"); math.Abs(f-0.75) > 1e-12 {
 		t.Fatalf("Fraction(b) = %v, want 0.75", f)
 	}
@@ -70,9 +70,9 @@ func TestBreakdownFraction(t *testing.T) {
 
 func TestBreakdownCategoriesSorted(t *testing.T) {
 	var b Breakdown
-	b.Add("zeta", 1)
-	b.Add("alpha", 1)
-	b.Add("mid", 1)
+	b.Add(NewCounter("zeta"), 1)
+	b.Add(NewCounter("alpha"), 1)
+	b.Add(NewCounter("mid"), 1)
 	got := b.Categories()
 	want := []string{"alpha", "mid", "zeta"}
 	for i := range want {
@@ -84,15 +84,15 @@ func TestBreakdownCategoriesSorted(t *testing.T) {
 
 func TestBreakdownMergeAndClone(t *testing.T) {
 	var a, b Breakdown
-	a.Add("x", 5)
-	b.Add("x", 7)
-	b.Add("y", 3)
+	a.Add(NewCounter("x"), 5)
+	b.Add(NewCounter("x"), 7)
+	b.Add(NewCounter("y"), 3)
 	a.Merge(b)
 	if a.Get("x") != 12 || a.Get("y") != 3 {
 		t.Fatalf("after merge: x=%d y=%d, want 12 3", a.Get("x"), a.Get("y"))
 	}
 	c := a.Clone()
-	c.Add("x", 100)
+	c.Add(NewCounter("x"), 100)
 	if a.Get("x") != 12 {
 		t.Fatalf("Clone is not independent: a.x=%d", a.Get("x"))
 	}
@@ -100,7 +100,7 @@ func TestBreakdownMergeAndClone(t *testing.T) {
 
 func TestBreakdownScale(t *testing.T) {
 	var b Breakdown
-	b.Add("busy", 73)
+	b.Add(NewCounter("busy"), 73)
 	b.Scale(64, 73) // the Raw load-balance extrapolation shape
 	if got := b.Get("busy"); got != 64 {
 		t.Fatalf("Scale(64/73) of 73 = %d, want 64", got)
@@ -114,14 +114,14 @@ func TestBreakdownScaleZeroDenPanics(t *testing.T) {
 		}
 	}()
 	var b Breakdown
-	b.Add("x", 1)
+	b.Add(NewCounter("x"), 1)
 	b.Scale(1, 0)
 }
 
 func TestBreakdownString(t *testing.T) {
 	var b Breakdown
-	b.Add("mem", 90)
-	b.Add("cpu", 10)
+	b.Add(NewCounter("mem"), 90)
+	b.Add(NewCounter("cpu"), 10)
 	s := b.String()
 	if !strings.Contains(s, "mem=90 (90.0%)") || !strings.Contains(s, "cpu=10 (10.0%)") {
 		t.Fatalf("String = %q", s)
@@ -130,21 +130,84 @@ func TestBreakdownString(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	var s Stats
-	s.Inc("loads", 4)
-	s.Inc("loads", 6)
-	s.Inc("stores", 1)
+	s.Inc(NewCounter("loads"), 4)
+	s.Inc(NewCounter("loads"), 6)
+	s.Inc(NewCounter("stores"), 1)
 	if s.Get("loads") != 10 {
 		t.Fatalf("loads = %d, want 10", s.Get("loads"))
 	}
 	var other Stats
-	other.Inc("loads", 1)
-	other.Inc("flops", 2)
+	other.Inc(NewCounter("loads"), 1)
+	other.Inc(NewCounter("flops"), 2)
 	s.Merge(other)
 	if s.Get("loads") != 11 || s.Get("flops") != 2 {
 		t.Fatalf("after merge: %s", s.String())
 	}
 	if !strings.Contains(s.String(), "flops=2") {
 		t.Fatalf("String = %q", s.String())
+	}
+}
+
+func TestNewCounterSharesOneRegistry(t *testing.T) {
+	a, b := NewCounter("shared_name"), NewCounter("shared_name")
+	if a != b {
+		t.Fatalf("same name registered twice: %d, %d", a, b)
+	}
+	if NewCounter("other_name") == a {
+		t.Fatal("distinct names share a Counter")
+	}
+	// Stats and Breakdown resolve names through the same registry.
+	var s Stats
+	var bk Breakdown
+	s.Inc(a, 3)
+	bk.Add(a, 4)
+	if s.Get("shared_name") != 3 || bk.Get("shared_name") != 4 {
+		t.Fatalf("Get: stats %d, breakdown %d", s.Get("shared_name"), bk.Get("shared_name"))
+	}
+	if s.Value(a) != 3 || bk.Value(a) != 4 {
+		t.Fatalf("Value: stats %d, breakdown %d", s.Value(a), bk.Value(a))
+	}
+	if s.Get("never_registered") != 0 {
+		t.Fatal("unregistered name read nonzero")
+	}
+}
+
+// A counter touched with n=0 exists: it renders and is listed, as a
+// map key written with += 0 did.
+func TestZeroTouchRenders(t *testing.T) {
+	var s Stats
+	s.Inc(NewCounter("stall_unit"), 0)
+	s.Inc(NewCounter("alu0_busy"), 5)
+	if got, want := s.String(), "alu0_busy=5, stall_unit=0"; got != want {
+		t.Fatalf("String = %q, want %q", got, want)
+	}
+	var b Breakdown
+	b.Add(NewCounter("startup+wait"), 0)
+	b.Add(NewCounter("memory"), 10)
+	if got, want := b.String(), "memory=10 (100.0%), startup+wait=0 (0.0%)"; got != want {
+		t.Fatalf("String = %q, want %q", got, want)
+	}
+	if got := b.Categories(); len(got) != 2 {
+		t.Fatalf("Categories = %v", got)
+	}
+}
+
+// A copy shares its entries with the original, as the map did; a
+// simulator that starts each run from a zero value never disturbs a
+// result it already handed out.
+func TestCopiesShareUntilReset(t *testing.T) {
+	c := NewCounter("memory")
+	var machine Breakdown
+	machine.Add(c, 10)
+	result := machine
+	machine.Add(c, 5)
+	if result.Get("memory") != 15 {
+		t.Fatalf("copy does not share storage: %d", result.Get("memory"))
+	}
+	machine = Breakdown{}
+	machine.Add(c, 1)
+	if result.Get("memory") != 15 {
+		t.Fatalf("reset disturbed a returned result: %d", result.Get("memory"))
 	}
 }
 

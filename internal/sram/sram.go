@@ -65,6 +65,12 @@ type Alloc struct {
 	Held  int // rounded to block granularity
 }
 
+var (
+	cAllocations      = sim.NewCounter("allocations")
+	cReleases         = sim.NewCounter("releases")
+	cWordsTransferred = sim.NewCounter("words_transferred")
+)
+
 // Array is an SRAM array with an allocator and bandwidth accounting.
 // It is not safe for concurrent use.
 type Array struct {
@@ -108,7 +114,7 @@ func (a *Array) Allocate(name string, size int) (*Alloc, error) {
 	al := &Alloc{Name: name, Bytes: size, Held: held}
 	a.allocs[name] = al
 	a.used += held
-	a.stats.Inc("allocations", 1)
+	a.stats.Inc(cAllocations, 1)
 	return al, nil
 }
 
@@ -121,7 +127,7 @@ func (a *Array) Release(name string) error {
 	}
 	a.used -= al.Held
 	delete(a.allocs, name)
-	a.stats.Inc("releases", 1)
+	a.stats.Inc(cReleases, 1)
 	return nil
 }
 
@@ -136,7 +142,7 @@ func (a *Array) ReleaseAll() {
 // TransferCycles returns the cycles to move n words through the array's
 // ports at full bandwidth.
 func (a *Array) TransferCycles(n uint64) uint64 {
-	a.stats.Inc("words_transferred", n)
+	a.stats.Inc(cWordsTransferred, n)
 	return sim.CeilDiv(n, uint64(a.cfg.WordsPerCycle))
 }
 

@@ -248,6 +248,26 @@ func (m *Machine) alloc(words int) int {
 	return base
 }
 
+var (
+	cMemory             = sim.NewCounter("memory")
+	cCompute            = sim.NewCounter("compute")
+	cScalar             = sim.NewCounter("scalar")
+	cStartupWait        = sim.NewCounter("startup+wait")
+	cStallQueue         = sim.NewCounter("stall_queue")
+	cStallUnit          = sim.NewCounter("stall_unit")
+	cStallDep           = sim.NewCounter("stall_dep")
+	cTLBMisses          = sim.NewCounter("tlb_misses")
+	cDRAMRowMisses      = sim.NewCounter("dram_row_misses")
+	cDRAMConflictStalls = sim.NewCounter("dram_conflict_stalls")
+	cMemWords           = sim.NewCounter("mem_words")
+	cFlops              = sim.NewCounter("flops")
+	cIntops             = sim.NewCounter("intops")
+	cInstructions       = sim.NewCounter("instructions")
+	cMemUnitBusy        = sim.NewCounter("mem_unit_busy")
+	cALU0Busy           = sim.NewCounter("alu0_busy")
+	cALU1Busy           = sim.NewCounter("alu1_busy")
+)
+
 // ExecResult is the timing outcome of one vector program.
 type ExecResult struct {
 	Cycles    uint64
@@ -315,7 +335,7 @@ func (m *Machine) exec(prog []Inst) ExecResult {
 			dispatch++
 		}
 		if i >= m.cfg.IssueQueue && starts[i%m.cfg.IssueQueue] > dispatch {
-			res.Stats.Inc("stall_queue", starts[i%m.cfg.IssueQueue]-dispatch)
+			res.Stats.Inc(cStallQueue, starts[i%m.cfg.IssueQueue]-dispatch)
 			dispatch = starts[i%m.cfg.IssueQueue]
 		}
 		// Execution start: unit availability and chaining.
@@ -324,14 +344,14 @@ func (m *Machine) exec(prog []Inst) ExecResult {
 		if unitFree[unit] > tUnit {
 			tUnit = unitFree[unit]
 		}
-		res.Stats.Inc("stall_unit", tUnit-t)
+		res.Stats.Inc(cStallUnit, tUnit-t)
 		tDep := tUnit
 		for _, src := range []int{in.Src1, in.Src2} {
 			if src >= 0 && chainReady[src] > tDep {
 				tDep = chainReady[src]
 			}
 		}
-		res.Stats.Inc("stall_dep", tDep-tUnit)
+		res.Stats.Inc(cStallDep, tDep-tUnit)
 		t = tDep
 		starts[i%m.cfg.IssueQueue] = t
 
@@ -350,28 +370,28 @@ func (m *Machine) exec(prog []Inst) ExecResult {
 			misses := m.tlb.touch(in.Base, req.Stride, in.VL)
 			penalty := misses * m.cfg.TLBMissPenalty
 			dur += penalty
-			res.Stats.Inc("tlb_misses", misses)
-			res.Stats.Inc("dram_row_misses", sr.RowMisses)
-			res.Stats.Inc("dram_conflict_stalls", sr.ConflictStalls)
-			res.Stats.Inc("mem_words", sr.Words)
-			res.Breakdown.Add("memory", dur)
+			res.Stats.Inc(cTLBMisses, misses)
+			res.Stats.Inc(cDRAMRowMisses, sr.RowMisses)
+			res.Stats.Inc(cDRAMConflictStalls, sr.ConflictStalls)
+			res.Stats.Inc(cMemWords, sr.Words)
+			res.Breakdown.Add(cMemory, dur)
 		case VAddF, VMulF, VPerm:
 			dur = sim.CeilDiv(uint64(in.VL), uint64(m.cfg.FPLanes))
-			res.Breakdown.Add("compute", dur)
+			res.Breakdown.Add(cCompute, dur)
 			if in.Op != VPerm {
-				res.Stats.Inc("flops", uint64(in.VL))
+				res.Stats.Inc(cFlops, uint64(in.VL))
 			}
 		case VFMA:
 			dur = sim.CeilDiv(uint64(in.VL), uint64(m.cfg.FPLanes))
-			res.Breakdown.Add("compute", dur)
-			res.Stats.Inc("flops", 2*uint64(in.VL))
+			res.Breakdown.Add(cCompute, dur)
+			res.Stats.Inc(cFlops, 2*uint64(in.VL))
 		case VAddI, VShift:
 			dur = sim.CeilDiv(uint64(in.VL), uint64(m.cfg.Lanes))
-			res.Breakdown.Add("compute", dur)
-			res.Stats.Inc("intops", uint64(in.VL))
+			res.Breakdown.Add(cCompute, dur)
+			res.Stats.Inc(cIntops, uint64(in.VL))
 		case Scalar:
 			dur = uint64(in.Cost)
-			res.Breakdown.Add("scalar", dur)
+			res.Breakdown.Add(cScalar, dur)
 		}
 
 		if m.tracer != nil {
@@ -391,14 +411,14 @@ func (m *Machine) exec(prog []Inst) ExecResult {
 		if done := t + startup + dur; done > end {
 			end = done
 		}
-		res.Stats.Inc("instructions", 1)
+		res.Stats.Inc(cInstructions, 1)
 	}
 	res.Cycles = end
-	res.Stats.Inc("mem_unit_busy", busy[unitMem])
-	res.Stats.Inc("alu0_busy", busy[unitALU0])
-	res.Stats.Inc("alu1_busy", busy[unitALU1])
+	res.Stats.Inc(cMemUnitBusy, busy[unitMem])
+	res.Stats.Inc(cALU0Busy, busy[unitALU0])
+	res.Stats.Inc(cALU1Busy, busy[unitALU1])
 	if slack := end - busy[unitMem]; end > busy[unitMem] {
-		res.Breakdown.Add("startup+wait", slackOrZero(slack, res.Breakdown))
+		res.Breakdown.Add(cStartupWait, slackOrZero(slack, res.Breakdown))
 	}
 	return res
 }
@@ -431,27 +451,35 @@ func (m *Machine) checkAddressRange(in *Inst) {
 // slackOrZero attributes the cycles not covered by any accounted busy
 // category to startup/wait, clamping at zero.
 func slackOrZero(slack uint64, b sim.Breakdown) uint64 {
-	accounted := b.Get("compute") + b.Get("scalar")
+	accounted := b.Value(cCompute) + b.Value(cScalar)
 	if accounted >= slack {
 		return 0
 	}
 	return slack - accounted
 }
 
-// tlb is a small fully-associative LRU translation buffer.
+// tlb is a small fully-associative LRU translation buffer. Its entries
+// live in a fixed array; each records the tick of its last use, and a
+// miss with the array full evicts the entry with the oldest tick. Ticks
+// are unique, so the victim is well defined.
 type tlb struct {
-	entries   int
 	pageWords int
-	pages     map[int]uint64
+	slots     []tlbSlot // len == TLBEntries; the first n are valid
+	n         int
 	tick      uint64
 }
 
+type tlbSlot struct {
+	page int
+	used uint64
+}
+
 func newTLB(entries, pageBytes int) *tlb {
-	return &tlb{entries: entries, pageWords: pageBytes / 4, pages: make(map[int]uint64)}
+	return &tlb{pageWords: pageBytes / 4, slots: make([]tlbSlot, entries)}
 }
 
 func (t *tlb) reset() {
-	t.pages = make(map[int]uint64)
+	t.n = 0
 	t.tick = 0
 }
 
@@ -466,24 +494,34 @@ func (t *tlb) touch(base, stride, count int) uint64 {
 		}
 		last = page
 		t.tick++
-		if _, ok := t.pages[page]; ok {
-			t.pages[page] = t.tick
+		if t.lookup(page) {
 			continue
 		}
 		misses++
-		if len(t.pages) >= t.entries {
-			// Evict the least recently used page.
-			var victim int
-			var oldest uint64 = ^uint64(0)
-			for p, when := range t.pages {
-				if when < oldest {
-					oldest = when
-					victim = p
+		victim := t.n
+		if t.n < len(t.slots) {
+			t.n++
+		} else {
+			victim = 0
+			for j := 1; j < len(t.slots); j++ {
+				if t.slots[j].used < t.slots[victim].used {
+					victim = j
 				}
 			}
-			delete(t.pages, victim)
 		}
-		t.pages[page] = t.tick
+		t.slots[victim] = tlbSlot{page: page, used: t.tick}
 	}
 	return misses
+}
+
+// lookup marks page used at the current tick and reports whether it was
+// resident.
+func (t *tlb) lookup(page int) bool {
+	for j := range t.slots[:t.n] {
+		if t.slots[j].page == page {
+			t.slots[j].used = t.tick
+			return true
+		}
+	}
+	return false
 }

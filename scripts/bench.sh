@@ -3,9 +3,11 @@
 # snapshot (default BENCH.json) for scripts/benchdiff.go.
 #
 # The set is split in three because the right benchtime differs:
-#   - simulator benchmarks (Table 3 corner turn + CSLC): a handful of
-#     fixed iterations — each iteration is a full deterministic
-#     simulation, so more iterations only burn time;
+#   - simulator benchmarks (all 15 Table 3 cells: corner turn, CSLC and
+#     beam steering on every machine): a handful of fixed iterations —
+#     each iteration is a full deterministic simulation, so more
+#     iterations only burn time. Each also reports ns/sim-cycle, the
+#     simulator's own cost per simulated cycle;
 #   - service benchmarks (BenchmarkServiceThroughput): time-based, the
 #     usual regime for nanosecond-scale operations;
 #   - grid benchmarks (BenchmarkBatchGrid, BenchmarkDSEGrid): one fixed
@@ -19,6 +21,14 @@
 # matters because the 15% wall-clock gate is tighter than single-sample
 # jitter on a busy machine. Simulated cycle counts are identical across
 # runs regardless.
+#
+# Corner-turn B/op is not a stable number, and it swings with
+# -benchtime. Each run stages its multi-megabyte matrices through
+# testsig.matrixPool, a sync.Pool. The GC empties a sync.Pool, so an
+# iteration after a collection reallocates the matrices and one before
+# reuses them. B/op therefore counts how many collections landed inside
+# the timed iterations, divided by the iteration count. Compare
+# corner-turn B/op across snapshots only at equal benchtime.
 #
 # Environment knobs:
 #   BENCH_COUNT    (default 3)     repetitions per benchmark (min is kept)
@@ -34,7 +44,7 @@ out="${1:-BENCH.json}"
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 
-go test -run='^$' -bench='Table3CornerTurn|Table3CSLC' -benchmem \
+go test -run='^$' -bench='Table3CornerTurn|Table3CSLC|Table3BeamSteering' -benchmem \
     -count="${BENCH_COUNT:-3}" -benchtime="${SIM_BENCHTIME:-20x}" . | tee "$tmp"
 go test -run='^$' -bench='ServiceThroughput|EstimateTier' -benchmem \
     -count="${BENCH_COUNT:-3}" -benchtime="${SVC_BENCHTIME:-0.5s}" . | tee -a "$tmp"

@@ -32,6 +32,13 @@ fi
 echo "== go test -race ./..."
 go test -race ./...
 
+# httpbench is its own Go module (it builds the stack it drives from
+# this checkout through a replace directive), so ./... above never
+# compiles it; vet and test it explicitly so an API change that breaks
+# the end-to-end benchmark fails here.
+echo "== httpbench: go vet + go test"
+(cd httpbench && go vet ./... && go test .)
+
 echo "== dse-smoke"
 ./scripts/dse_smoke.sh
 
