@@ -308,3 +308,44 @@ func TestBestRadix(t *testing.T) {
 		}
 	}
 }
+
+// directDFT is the per-term formula NaiveDFT and NaiveIDFT must agree
+// with: every term's twiddle comes from its own math.Cos and math.Sin.
+func directDFT(x []complex128, sign float64) []complex128 {
+	n := len(x)
+	out := make([]complex128, n)
+	for k := 0; k < n; k++ {
+		var sum complex128
+		for t := 0; t < n; t++ {
+			ang := sign * 2 * math.Pi * float64(k*t) / float64(n)
+			sum += x[t] * complex(math.Cos(ang), math.Sin(ang))
+		}
+		out[k] = sum
+	}
+	if sign > 0 {
+		for k := range out {
+			out[k] /= complex(float64(n), 0)
+		}
+	}
+	return out
+}
+
+// TestNaiveDFTMatchesDirectFormula pins the reference transforms to the
+// defining formula, for lengths that are and are not powers of two.
+// Errors are relative to the input's L1 norm, which bounds every output
+// bin.
+func TestNaiveDFTMatchesDirectFormula(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 12, 100, 128, 256} {
+		x := randomSignal(n, uint64(n))
+		var norm float64
+		for _, v := range x {
+			norm += cmplx.Abs(v)
+		}
+		if e := maxErr(NaiveDFT(x), directDFT(x, -1)); e > 1e-9*norm {
+			t.Errorf("n=%d: NaiveDFT off the direct formula by %g (norm %g)", n, e, norm)
+		}
+		if e := maxErr(NaiveIDFT(x), directDFT(x, 1)); e > 1e-9*norm/float64(n) {
+			t.Errorf("n=%d: NaiveIDFT off the direct formula by %g (norm %g)", n, e, norm)
+		}
+	}
+}
