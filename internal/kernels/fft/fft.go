@@ -392,32 +392,43 @@ func (p *Plan) countOps() Counts {
 }
 
 // NaiveDFT computes the O(N^2) discrete Fourier transform; it is the
-// golden reference for tests.
-func NaiveDFT(x []complex128) []complex128 {
-	n := len(x)
-	out := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		var sum complex128
-		for t := 0; t < n; t++ {
-			ang := -2 * math.Pi * float64(k*t) / float64(n)
-			sum += x[t] * complex(math.Cos(ang), math.Sin(ang))
-		}
-		out[k] = sum
+// golden reference for tests and for the CSLC verifier.
+func NaiveDFT(x []complex128) []complex128 { return naiveDFT(x, -1) }
+
+// NaiveIDFT computes the O(N^2) inverse DFT with 1/N scaling.
+func NaiveIDFT(x []complex128) []complex128 {
+	out := naiveDFT(x, 1)
+	n := complex(float64(len(x)), 0)
+	for k := range out {
+		out[k] /= n
 	}
 	return out
 }
 
-// NaiveIDFT computes the O(N^2) inverse DFT with 1/N scaling.
-func NaiveIDFT(x []complex128) []complex128 {
+// naiveDFT evaluates out[k] = sum_t x[t] * exp(sign*2*pi*i*k*t/n) term
+// by term. exp(sign*2*pi*i*k*t/n) is the (k*t mod n)-th n-th root of
+// unity, so the n roots are computed once, each by math.Cos and
+// math.Sin, and every term reads its twiddle from that table. Nothing
+// here is shared with Plan, which keeps the sum an independent check
+// of the fast transforms.
+func naiveDFT(x []complex128, sign float64) []complex128 {
 	n := len(x)
+	roots := make([]complex128, n)
+	for j := range roots {
+		ang := sign * 2 * math.Pi * float64(j) / float64(n)
+		roots[j] = complex(math.Cos(ang), math.Sin(ang))
+	}
 	out := make([]complex128, n)
-	for k := 0; k < n; k++ {
+	for k := range out {
 		var sum complex128
-		for t := 0; t < n; t++ {
-			ang := 2 * math.Pi * float64(k*t) / float64(n)
-			sum += x[t] * complex(math.Cos(ang), math.Sin(ang))
+		j := 0 // k*t mod n
+		for _, v := range x {
+			sum += v * roots[j]
+			if j += k; j >= n {
+				j -= n
+			}
 		}
-		out[k] = sum / complex(float64(n), 0)
+		out[k] = sum
 	}
 	return out
 }

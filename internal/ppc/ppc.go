@@ -127,6 +127,7 @@ type Machine struct {
 	l1        *cache.Cache
 	bk        sim.Breakdown
 	st        sim.Stats
+	accesses  uint64  // mem_accesses not yet folded into st
 	readStall float64 // accumulated raw read-miss latency (pre-MLP)
 	writeStal float64 // accumulated raw write-miss latency (pre-MLP)
 }
@@ -173,6 +174,7 @@ func (m *Machine) reset() {
 	m.l1.Reset() // cascades to L2 and DRAM
 	m.bk = sim.Breakdown{}
 	m.st = sim.Stats{}
+	m.accesses = 0
 	m.readStall = 0
 	m.writeStal = 0
 }
@@ -225,7 +227,7 @@ func (m *Machine) access(addr int, write bool) {
 			m.readStall += float64(lat - hit)
 		}
 	}
-	m.st.Inc(cMemAccesses, 1)
+	m.accesses++
 }
 
 // memStallCycles converts accumulated miss latency into stall cycles via
@@ -240,6 +242,10 @@ func (m *Machine) memStallCycles() uint64 {
 
 // result assembles a core.Result.
 func (m *Machine) result(kernel core.KernelID, cycles, ops, words uint64) core.Result {
+	if m.accesses > 0 {
+		m.st.Inc(cMemAccesses, m.accesses)
+		m.accesses = 0
+	}
 	return core.Result{
 		Machine:   m.Name(),
 		Kernel:    kernel,

@@ -10,6 +10,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 	"sync"
@@ -272,6 +273,44 @@ func CeilDiv(a, b uint64) uint64 {
 		panic("sim: CeilDiv by zero")
 	}
 	return (a + b - 1) / b
+}
+
+// Divider divides by a fixed positive divisor with exactly the results
+// of Go's truncating / and %. Address decoders divide every simulated
+// word address by geometry constants; when the divisor is a power of two
+// and the dividend is non-negative, the quotient is a shift and the
+// remainder a mask. Other divisors and negative dividends divide.
+type Divider struct {
+	d     int
+	shift uint
+	mask  int // d-1 when d is a power of two, else -1
+}
+
+// NewDivider returns a Divider for d. It panics if d <= 0.
+func NewDivider(d int) Divider {
+	if d <= 0 {
+		panic("sim: NewDivider with non-positive divisor")
+	}
+	if d&(d-1) != 0 {
+		return Divider{d: d, mask: -1}
+	}
+	return Divider{d: d, shift: uint(bits.TrailingZeros(uint(d))), mask: d - 1}
+}
+
+// Div returns a / d.
+func (v Divider) Div(a int) int {
+	if v.mask >= 0 && a >= 0 {
+		return a >> v.shift
+	}
+	return a / v.d
+}
+
+// Mod returns a % d.
+func (v Divider) Mod(a int) int {
+	if v.mask >= 0 && a >= 0 {
+		return a & v.mask
+	}
+	return a % v.d
 }
 
 // PRNG is a small deterministic xorshift64* generator used for workload

@@ -250,6 +250,46 @@ func TestCeilDivProperty(t *testing.T) {
 	}
 }
 
+// TestDividerMatchesGoDivision requires Div and Mod to agree with Go's
+// truncating / and % for negative, zero and positive dividends, at
+// power-of-two divisors (the shift path) and at others.
+func TestDividerMatchesGoDivision(t *testing.T) {
+	dividends := []int{math.MinInt, math.MinInt + 1, -1 << 40, -4097, -4096, -13, -8, -7, -1, 0, 1, 7, 8, 13,
+		4095, 4096, 4097, 1 << 40, math.MaxInt}
+	for _, d := range []int{1, 2, 3, 4, 6, 8, 12, 100, 512, 1000, 4096, 1 << 30} {
+		v := NewDivider(d)
+		for _, a := range dividends {
+			if q, r := v.Div(a), v.Mod(a); q != a/d || r != a%d {
+				t.Errorf("NewDivider(%d): Div/Mod(%d) = %d, %d; want %d, %d", d, a, q, r, a/d, a%d)
+			}
+		}
+	}
+	f := func(a int64, d uint16) bool {
+		div := int(d) + 1
+		if d%2 == 0 {
+			div = 1 << (d % 31)
+		}
+		v := NewDivider(div)
+		return v.Div(int(a)) == int(a)/div && v.Mod(int(a)) == int(a)%div
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestNewDividerRejectsNonPositive(t *testing.T) {
+	for _, d := range []int{0, -1, -8} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewDivider(%d) did not panic", d)
+				}
+			}()
+			NewDivider(d)
+		}()
+	}
+}
+
 func TestPRNGDeterministic(t *testing.T) {
 	a := NewPRNG(42)
 	b := NewPRNG(42)

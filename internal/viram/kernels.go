@@ -98,7 +98,7 @@ func (a *instArena) take(n int) []Inst {
 		}
 		a.buf = make([]Inst, 0, grow)
 	}
-	s := a.buf[len(a.buf):len(a.buf):len(a.buf)+n]
+	s := a.buf[len(a.buf) : len(a.buf) : len(a.buf)+n]
 	a.buf = a.buf[:len(a.buf)+n]
 	return s
 }

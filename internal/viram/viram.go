@@ -139,7 +139,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("viram: negative startup")
 	case c.IssueQueue <= 0:
 		return fmt.Errorf("viram: IssueQueue %d", c.IssueQueue)
-	case c.TLBEntries <= 0 || c.TLBPageBytes <= 0:
+	case c.TLBEntries <= 0 || c.TLBPageBytes < 4: // a page holds at least one word
 		return fmt.Errorf("viram: TLB %d entries / %d-byte pages", c.TLBEntries, c.TLBPageBytes)
 	}
 	return c.DRAM.Validate()
@@ -463,7 +463,7 @@ func slackOrZero(slack uint64, b sim.Breakdown) uint64 {
 // miss with the array full evicts the entry with the oldest tick. Ticks
 // are unique, so the victim is well defined.
 type tlb struct {
-	pageWords int
+	pageWords sim.Divider
 	slots     []tlbSlot // len == TLBEntries; the first n are valid
 	n         int
 	tick      uint64
@@ -475,7 +475,7 @@ type tlbSlot struct {
 }
 
 func newTLB(entries, pageBytes int) *tlb {
-	return &tlb{pageWords: pageBytes / 4, slots: make([]tlbSlot, entries)}
+	return &tlb{pageWords: sim.NewDivider(pageBytes / 4), slots: make([]tlbSlot, entries)}
 }
 
 func (t *tlb) reset() {
@@ -488,7 +488,7 @@ func (t *tlb) touch(base, stride, count int) uint64 {
 	var misses uint64
 	last := -1
 	for i := 0; i < count; i++ {
-		page := (base + i*stride) / t.pageWords
+		page := t.pageWords.Div(base + i*stride)
 		if page == last {
 			continue
 		}
