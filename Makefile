@@ -129,7 +129,7 @@ bench-json:
 # that cannot be noise.
 BENCH_TOL ?= 0.30
 benchdiff: bench-json
-	$(GO) run scripts/benchdiff.go -tol $(BENCH_TOL) BENCH_PR13.json BENCH.json
+	$(GO) run scripts/benchdiff.go -tol $(BENCH_TOL) BENCH_PR14.json BENCH.json
 
 clean:
 	$(GO) clean ./...
