@@ -23,6 +23,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.MVL = 0 },
 		func(c *Config) { c.StartupALU = -1 },
 		func(c *Config) { c.TLBEntries = 0 },
+		func(c *Config) { c.TLBPageBytes = 3 }, // less than one word per page
 		func(c *Config) { c.DRAM.Banks = 0 },
 	}
 	for i, mut := range mutations {
