@@ -99,6 +99,20 @@ func TestSpecConfigHashIdentity(t *testing.T) {
 	})
 }
 
+// TestNormalizeRejectsOverflowingDRAMStripe: a client config whose DRAM
+// row stripe (RowWords*Banks) overflows int must fail validation, not
+// reach the address decoder that divides by it.
+func TestNormalizeRejectsOverflowingDRAMStripe(t *testing.T) {
+	set := machines.DefaultConfigSet()
+	v := *set.VIRAM
+	v.DRAM.RowWords, v.DRAM.Banks = 1<<62, 4 // product wraps to 0
+	spec := JobSpec{Machine: "VIRAM", Kernel: core.CornerTurn,
+		Config: &machines.ConfigSet{VIRAM: &v}}
+	if _, err := spec.Normalize(); err == nil {
+		t.Fatal("overflowing DRAM geometry passed Normalize")
+	}
+}
+
 // TestNoCrossConfigCacheHits is the wrong-config regression suite: the
 // same (machine, kernel, workload) under different hardware configs
 // must never share a memo entry, join the same coalesce group, or —
