@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check chaos soak cluster-soak batch-soak overload-soak dse-smoke bench bench-smoke bench-json benchdiff clean
+.PHONY: all build vet test race check chaos soak cluster-soak batch-soak overload-soak dse-smoke bench bench-smoke bench-json benchdiff loc clean
 
 # soak sweeps the durability and chaos suites under the race detector
 # across a fixed seed matrix: journal frame/replay tests, svc crash and
@@ -130,6 +130,12 @@ bench-json:
 BENCH_TOL ?= 0.30
 benchdiff: bench-json
 	$(GO) run scripts/benchdiff.go -tol $(BENCH_TOL) BENCH_PR14.json BENCH.json
+
+# loc prints the net Go line delta of the working tree against BASE
+# (tracked files only), non-test and _test.go apart.
+BASE ?= HEAD
+loc:
+	./scripts/loc.sh $(BASE)
 
 clean:
 	$(GO) clean ./...

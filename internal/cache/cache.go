@@ -41,11 +41,19 @@ type Config struct {
 	HitLatency int
 }
 
+// MaxLines bounds a level's line count (sets x ways): the simulator
+// holds per-line state, so the line count sizes an allocation.
+const MaxLines = 1 << 20
+
 // Validate reports whether the configuration describes a realizable cache.
 func (c Config) Validate() error {
 	switch {
 	case c.SizeBytes <= 0 || c.LineBytes <= 0 || c.Assoc <= 0:
 		return errors.New("cache: sizes and associativity must be positive")
+	case c.SizeBytes/c.LineBytes > MaxLines:
+		return fmt.Errorf("cache %s: %d lines exceed %d", c.Name, c.SizeBytes/c.LineBytes, MaxLines)
+	case c.Assoc > c.SizeBytes/c.LineBytes:
+		return fmt.Errorf("cache %s: %d ways exceed the %d lines", c.Name, c.Assoc, c.SizeBytes/c.LineBytes)
 	case c.HitLatency < 0:
 		return errors.New("cache: negative hit latency")
 	case c.SizeBytes%(c.LineBytes*c.Assoc) != 0:

@@ -23,6 +23,9 @@ func TestConfigValidate(t *testing.T) {
 		{SizeBytes: 32 << 10, LineBytes: 33, Assoc: 8}, // not power of two
 		{SizeBytes: 48 << 10, LineBytes: 32, Assoc: 5}, // set count not pow2
 		{SizeBytes: 32 << 10, LineBytes: 32, Assoc: 8, HitLatency: -1},
+		{SizeBytes: 2 * MaxLines, LineBytes: 1, Assoc: 1},         // too many lines
+		{SizeBytes: 32 << 10, LineBytes: 32, Assoc: 1 << 59},      // line*assoc wraps to 0
+		{SizeBytes: 32 << 10, LineBytes: 32, Assoc: 2 * 32 << 10}, // more ways than lines
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

@@ -58,11 +58,17 @@ type Config struct {
 	Reorder bool
 }
 
+// MaxBanks bounds Config.Banks: the controller holds per-bank state, so
+// the bank count sizes an allocation.
+const MaxBanks = 1 << 12
+
 // Validate reports whether the configuration is internally consistent.
 func (c Config) Validate() error {
 	switch {
 	case c.Banks <= 0:
 		return errors.New("dram: Banks must be positive")
+	case c.Banks > MaxBanks:
+		return fmt.Errorf("dram: Banks %d exceeds %d", c.Banks, MaxBanks)
 	case c.RowWords <= 0:
 		return errors.New("dram: RowWords must be positive")
 	case c.SeqWordsPerCycle <= 0:

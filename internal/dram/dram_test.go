@@ -20,6 +20,8 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.InterleaveWords = -8 },
 		func(c *Config) { c.RowWords = 1 << 62 },                     // x 8 banks wraps to 0
 		func(c *Config) { c.RowWords, c.Banks = math.MaxInt/3+1, 3 }, // wraps negative
+		func(c *Config) { c.Banks = MaxBanks + 1 },
+		func(c *Config) { c.Banks, c.RowWords = 1<<62, 1 }, // would panic in makeslice
 	}
 	for i, mutate := range cases {
 		c := VIRAMDRAM()

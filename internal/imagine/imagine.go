@@ -87,17 +87,21 @@ func DefaultConfig() Config {
 	}
 }
 
+// maxUnits bounds Clusters and MemControllers; each memory controller
+// carries its own DRAM model.
+const maxUnits = 1 << 8
+
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
 	switch {
-	case c.Clusters <= 0:
+	case c.Clusters <= 0 || c.Clusters > maxUnits:
 		return fmt.Errorf("imagine: %d clusters", c.Clusters)
 	case c.AddersPerCluster <= 0 || c.MulsPerCluster <= 0 || c.DivsPerCluster < 0:
 		return fmt.Errorf("imagine: ALU mix %d/%d/%d",
 			c.AddersPerCluster, c.MulsPerCluster, c.DivsPerCluster)
 	case c.CommWordsPerCycle <= 0:
 		return fmt.Errorf("imagine: comm bandwidth %d", c.CommWordsPerCycle)
-	case c.MemControllers <= 0:
+	case c.MemControllers <= 0 || c.MemControllers > maxUnits:
 		return fmt.Errorf("imagine: %d memory controllers", c.MemControllers)
 	case c.StreamDescRegs < 2:
 		return fmt.Errorf("imagine: %d stream descriptor registers", c.StreamDescRegs)
@@ -339,7 +343,7 @@ func (m *Machine) finish(kernel core.KernelID, ops, words uint64) core.Result {
 	b := sim.Breakdown{}
 	b.Add(cMemory, memBusy)
 	b.Add(cCompute, compute)
-	if busiest := max64(memBusy, compute); total > busiest {
+	if busiest := max(memBusy, compute); total > busiest {
 		b.Add(cOther, total-busiest)
 	}
 	return core.Result{
@@ -352,11 +356,4 @@ func (m *Machine) finish(kernel core.KernelID, ops, words uint64) core.Result {
 		Words:     words,
 		Verified:  true,
 	}
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

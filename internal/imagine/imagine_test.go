@@ -25,6 +25,10 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.StreamDescRegs = 1 },
 		func(c *Config) { c.PipeDepth = -1 },
 		func(c *Config) { c.SRF.CapacityBytes = 0 },
+		func(c *Config) { c.Clusters = 1 << 40 },
+		func(c *Config) { c.MemControllers = 1 << 40 },
+		func(c *Config) { c.SRF.CapacityBytes = 1 << 40 }, // 2^33 128-byte blocks
+		func(c *Config) { c.DRAM.Banks = 1 << 31 },
 	}
 	for i, mut := range mutations {
 		c := DefaultConfig()

@@ -14,9 +14,6 @@ import (
 // initiation interval is a single cycle — matrix multiply is the kernel
 // Imagine's ALU mix was built for.
 func (m *Machine) RunMatMul(spec matmul.Spec) (core.Result, error) {
-	if err := spec.Validate(); err != nil {
-		return core.Result{}, err
-	}
 	if err := matmul.VerifyBlocked(spec); err != nil {
 		return core.Result{}, err
 	}
@@ -45,7 +42,7 @@ func (m *Machine) RunMatMul(spec matmul.Spec) (core.Result, error) {
 			if pendingWords > 0 {
 				m.memStream(pendingWords, 1, true, pendingStore)
 			}
-			ready := maxAll([]uint64{panelDone, rowDone})
+			ready := max(panelDone, rowDone)
 			ready = m.srfStream(spec.K, ready)
 			k := KernelDesc{
 				Name:       "matmul-row",

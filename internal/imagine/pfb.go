@@ -16,9 +16,6 @@ const pfbBatchFrames = 64
 // branch output per iteration (FIR plus its amortized share of the
 // cross-branch FFT), and the channelized frames stream back out.
 func (m *Machine) RunPFB(w pfb.Workload) (core.Result, error) {
-	if err := w.ValidateWorkload(); err != nil {
-		return core.Result{}, err
-	}
 	if err := w.Verify(); err != nil {
 		return core.Result{}, err
 	}

@@ -98,12 +98,38 @@ func Steer(spec Spec, tables *testsig.BeamTables) ([][][]int32, error) {
 	return out, nil
 }
 
-// SteerOne computes a single output; used by tests and by machine models
-// that verify single lanes.
+// SteerOne computes a single output, independently of Steer; tests and
+// VerifySynthetic compare against it.
 func SteerOne(spec Spec, tables *testsig.BeamTables, dw, d, e int) int32 {
 	t := tables.ElementCal[e] + tables.ElementGrad[e] +
 		tables.DirSteer[d] + tables.DwellBase[dw] + spec.Rounding
 	return t >> spec.ShiftBits
+}
+
+// VerifySynthetic validates spec, steers the synthetic calibration
+// tables and proves three outputs against SteerOne: the first, the last,
+// and one mid-cube (middle dwell, first direction, middle element).
+// Machine models call it before timing beam steering.
+func VerifySynthetic(spec Spec) error {
+	if err := spec.Validate(); err != nil {
+		return err
+	}
+	tables := testsig.NewBeamTables(spec.Elements, spec.Directions, spec.Dwells, 7)
+	out, err := Steer(spec, tables)
+	if err != nil {
+		return err
+	}
+	for _, p := range [][3]int{
+		{0, 0, 0},
+		{spec.Dwells - 1, spec.Directions - 1, spec.Elements - 1},
+		{spec.Dwells / 2, 0, spec.Elements / 2},
+	} {
+		dw, d, e := p[0], p[1], p[2]
+		if out[dw][d][e] != SteerOne(spec, tables, dw, d, e) {
+			return fmt.Errorf("beamsteer: output mismatch at %v", p)
+		}
+	}
+	return nil
 }
 
 // Checksum digests the full output cube for cross-machine verification.

@@ -157,3 +157,19 @@ func BenchmarkSteerPaperSpec(b *testing.B) {
 		}
 	}
 }
+
+func TestVerifySynthetic(t *testing.T) {
+	for _, s := range []Spec{
+		PaperSpec(),
+		{Elements: 1, Directions: 1, Dwells: 1},
+		{Elements: 5, Directions: 3, Dwells: 2, ShiftBits: 1, Rounding: 1},
+	} {
+		if err := VerifySynthetic(s); err != nil {
+			t.Errorf("%+v: %v", s, err)
+		}
+	}
+	bad := Spec{Elements: -3, Directions: 4, Dwells: 1}
+	if err := VerifySynthetic(bad); err == nil || err.Error() != bad.Validate().Error() {
+		t.Errorf("bad spec: got %v, want the Validate error %v", err, bad.Validate())
+	}
+}

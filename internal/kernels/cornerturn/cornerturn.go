@@ -155,10 +155,3 @@ func VerifySynthetic(rows, cols int, transpose func(dst, src *testsig.Matrix) er
 	}
 	return nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

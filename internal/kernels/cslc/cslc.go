@@ -25,6 +25,7 @@ import (
 	"fmt"
 
 	"sigkern/internal/kernels/fft"
+	"sigkern/internal/kernels/testsig"
 )
 
 // Spec describes one CSLC problem instance.
@@ -356,6 +357,32 @@ func VerifyAgainstNaive(s Spec, channels [][]complex128, w *Weights, out *Output
 		}
 	}
 	return nil
+}
+
+// VerifySynthetic validates spec, runs the functional pipeline on the
+// synthetic radar scene (weights estimated, then applied) and proves the
+// first, middle and last sub-bands against the naive-DFT reference.
+// Machine models call it before timing a CSLC.
+func VerifySynthetic(spec Spec) error {
+	if err := spec.Validate(); err != nil {
+		return err
+	}
+	scene := testsig.DefaultScene(spec.Samples)
+	if spec.AuxChannels > len(scene.AuxCoupling) {
+		return fmt.Errorf("cslc: %d auxiliary channels, the synthetic scene has %d",
+			spec.AuxChannels, len(scene.AuxCoupling))
+	}
+	scene.AuxCoupling = scene.AuxCoupling[:spec.AuxChannels]
+	channels := scene.Channels(spec.MainChannels)
+	w, err := EstimateWeights(spec, channels)
+	if err != nil {
+		return err
+	}
+	out, err := Run(spec, channels, w)
+	if err != nil {
+		return err
+	}
+	return VerifyAgainstNaive(spec, channels, w, out, []int{0, spec.SubBands / 2, spec.SubBands - 1})
 }
 
 // TotalPower sums the mean power of every band of one main channel's

@@ -337,3 +337,25 @@ func TestSinglePrecisionRejectsBadInput(t *testing.T) {
 		t.Fatal("short channels accepted")
 	}
 }
+
+func TestVerifySynthetic(t *testing.T) {
+	for _, s := range []Spec{
+		PaperSpec(fft.Radix2),
+		PaperSpec(fft.MixedRadix42),
+		{MainChannels: 1, AuxChannels: 1, Samples: 256, SubBands: 3, FFTSize: 64, Radix: fft.Radix4},
+	} {
+		if err := VerifySynthetic(s); err != nil {
+			t.Errorf("%+v: %v", s, err)
+		}
+	}
+	bad := Spec{MainChannels: 2, AuxChannels: 2, Samples: 8192, SubBands: 0, FFTSize: 128, Radix: fft.Radix2}
+	if err := VerifySynthetic(bad); err == nil || err.Error() != bad.Validate().Error() {
+		t.Errorf("bad spec: got %v, want the Validate error %v", err, bad.Validate())
+	}
+	// Valid for the kernel, but the synthetic scene has two aux antennas.
+	extraAux := PaperSpec(fft.Radix2)
+	extraAux.AuxChannels = 3
+	if err := VerifySynthetic(extraAux); err == nil {
+		t.Error("three aux channels verified against a two-aux scene")
+	}
+}

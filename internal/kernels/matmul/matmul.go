@@ -157,10 +157,13 @@ func Checksum(m *Mat) uint64 {
 	return h
 }
 
-// VerifyBlocked runs the functional multiply for a spec and proves the
-// blocked variant against the naive reference; machine models call it as
-// their functional-verification step.
+// VerifyBlocked validates spec, runs the functional multiply and proves
+// the blocked variant against the naive reference; machine models call
+// it as their functional-verification step.
 func VerifyBlocked(spec Spec) error {
+	if err := spec.Validate(); err != nil {
+		return err
+	}
 	a := NewMat(spec.M, spec.K, 1)
 	b := NewMat(spec.K, spec.N, 2)
 	ref := ZeroMat(spec.M, spec.N)
@@ -175,11 +178,4 @@ func VerifyBlocked(spec Spec) error {
 		return fmt.Errorf("matmul: blocked result does not match reference")
 	}
 	return nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -104,10 +104,13 @@ func (w Workload) Words() uint64 {
 	return in + out
 }
 
-// Verify channelizes a deterministic two-tone input and proves the fast
-// path against DirectFrame on a sample of frames; machine models use it
-// as their functional-verification step.
+// Verify validates the workload, channelizes a deterministic two-tone
+// input and proves the fast path against DirectFrame on a sample of
+// frames; machine models use it as their functional-verification step.
 func (w Workload) Verify() error {
+	if err := w.ValidateWorkload(); err != nil {
+		return err
+	}
 	b, err := New(w.Spec)
 	if err != nil {
 		return err

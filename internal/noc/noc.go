@@ -36,11 +36,17 @@ type Config struct {
 	HeaderWords int
 }
 
+// MaxTiles bounds the mesh's tile count (Width x Height): machines hold
+// per-tile and per-port state, so the mesh size sizes allocations.
+const MaxTiles = 1 << 8
+
 // Validate reports whether the mesh is realizable.
 func (c Config) Validate() error {
 	switch {
 	case c.Width <= 0 || c.Height <= 0:
 		return errors.New("noc: mesh dimensions must be positive")
+	case c.Width > MaxTiles || c.Height > MaxTiles || c.Width*c.Height > MaxTiles:
+		return fmt.Errorf("noc: %dx%d mesh exceeds %d tiles", c.Width, c.Height, MaxTiles)
 	case c.BaseLatency < 1:
 		return errors.New("noc: BaseLatency must be at least 1")
 	case c.HopLatency < 0:

@@ -14,6 +14,8 @@ func TestConfigValidate(t *testing.T) {
 		{Width: 4, Height: 4, BaseLatency: 0, HopLatency: 1, MinPacketWords: 4},
 		{Width: 4, Height: 4, BaseLatency: 3, HopLatency: -1, MinPacketWords: 4},
 		{Width: 4, Height: 4, BaseLatency: 3, HopLatency: 1, MinPacketWords: 0},
+		{Width: MaxTiles, Height: 2, BaseLatency: 3, HopLatency: 1, MinPacketWords: 4},
+		{Width: 1 << 32, Height: 1 << 32, BaseLatency: 3, HopLatency: 1, MinPacketWords: 4}, // product wraps to 0
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

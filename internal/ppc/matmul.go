@@ -10,9 +10,6 @@ import (
 // per-element inner loop hits in L1 by construction once a line is
 // resident, so line-level tracing captures exactly the misses).
 func (m *Machine) RunMatMul(spec matmul.Spec) (core.Result, error) {
-	if err := spec.Validate(); err != nil {
-		return core.Result{}, err
-	}
 	if err := matmul.VerifyBlocked(spec); err != nil {
 		return core.Result{}, err
 	}
@@ -37,9 +34,9 @@ func (m *Machine) RunMatMul(spec matmul.Spec) (core.Result, error) {
 	for i0 := 0; i0 < spec.M; i0 += block {
 		for k0 := 0; k0 < spec.K; k0 += block {
 			for j0 := 0; j0 < spec.N; j0 += block {
-				touch(aBase, i0, k0, spec.K, minInt(block, spec.M-i0), minInt(block, spec.K-k0), false)
-				touch(bBase, k0, j0, spec.N, minInt(block, spec.K-k0), minInt(block, spec.N-j0), false)
-				touch(cBase, i0, j0, spec.N, minInt(block, spec.M-i0), minInt(block, spec.N-j0), true)
+				touch(aBase, i0, k0, spec.K, min(block, spec.M-i0), min(block, spec.K-k0), false)
+				touch(bBase, k0, j0, spec.N, min(block, spec.K-k0), min(block, spec.N-j0), false)
+				touch(cBase, i0, j0, spec.N, min(block, spec.M-i0), min(block, spec.N-j0), true)
 			}
 		}
 	}

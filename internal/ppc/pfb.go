@@ -11,9 +11,6 @@ import (
 // the FIR runs as real-by-complex MACs, and the cross-branch FFT uses
 // the same butterfly cost model as the CSLC.
 func (m *Machine) RunPFB(w pfb.Workload) (core.Result, error) {
-	if err := w.ValidateWorkload(); err != nil {
-		return core.Result{}, err
-	}
 	if err := w.Verify(); err != nil {
 		return core.Result{}, err
 	}

@@ -25,6 +25,9 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.MLPStore = 0 },
 		func(c *Config) { c.L1.SizeBytes = 0 },
 		func(c *Config) { c.DRAM.Banks = 0 },
+		func(c *Config) { c.L2.SizeBytes = 1 << 40 }, // 2^35 lines
+		func(c *Config) { c.L1.Assoc = 1 << 59 },     // line*assoc wraps to 0
+		func(c *Config) { c.DRAM.Banks = 1 << 31 },
 	}
 	for i, mut := range mutations {
 		c := DefaultConfig(Scalar)

@@ -24,9 +24,6 @@ const mmLSDen = 4
 // A and B panels in from its DRAM port, and runs register-blocked MACs
 // out of its local memory.
 func (m *Machine) RunMatMul(spec matmul.Spec) (core.Result, error) {
-	if err := spec.Validate(); err != nil {
-		return core.Result{}, err
-	}
 	if err := matmul.VerifyBlocked(spec); err != nil {
 		return core.Result{}, err
 	}

@@ -12,9 +12,6 @@ import (
 // frame's new samples in from its port, and computes the FIR and the
 // cross-branch FFT locally.
 func (m *Machine) RunPFB(w pfb.Workload) (core.Result, error) {
-	if err := w.ValidateWorkload(); err != nil {
-		return core.Result{}, err
-	}
 	if err := w.Verify(); err != nil {
 		return core.Result{}, err
 	}

@@ -22,6 +22,9 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.DRAM.Banks = 0 },
 		func(c *Config) { c.CacheLineWords = 0 },
 		func(c *Config) { c.LoopOverheadPerRow = -1 },
+		func(c *Config) { c.Mesh.Width, c.Mesh.Height = 1<<20, 1<<20 },
+		func(c *Config) { c.TileMem.CapacityBytes = 1 << 40 }, // 2^38 4-byte blocks
+		func(c *Config) { c.DRAM.Banks = 1 << 31 },
 	}
 	for i, mut := range mutations {
 		c := DefaultConfig()

@@ -146,20 +146,13 @@ func For(t perfmodel.Throughput, c Costs) Estimate {
 				sim.CeilDiv(c.SeqWords, bw)
 		}
 	}
-	e.PeakCycles = maxU64(e.ComputeBound, e.PeakMemBound)
-	e.Cycles = maxU64(e.ComputeBound, e.MemBound)
+	e.PeakCycles = max(e.ComputeBound, e.PeakMemBound)
+	e.Cycles = max(e.ComputeBound, e.MemBound)
 	e.Bound = "compute"
 	if e.MemBound > e.ComputeBound {
 		e.Bound = "memory"
 	}
 	return e
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // CostsFor returns the declared costs of one paper kernel as

@@ -29,6 +29,9 @@ type Config struct {
 	WordsPerCycle int
 }
 
+// MaxBlocks bounds an array's block count (CapacityBytes/BlockBytes).
+const MaxBlocks = 1 << 20
+
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
 	switch {
@@ -36,6 +39,8 @@ func (c Config) Validate() error {
 		return errors.New("sram: CapacityBytes must be positive")
 	case c.BlockBytes <= 0:
 		return errors.New("sram: BlockBytes must be positive")
+	case c.CapacityBytes/c.BlockBytes > MaxBlocks:
+		return fmt.Errorf("sram: %d blocks exceed %d", c.CapacityBytes/c.BlockBytes, MaxBlocks)
 	case c.WordsPerCycle <= 0:
 		return errors.New("sram: WordsPerCycle must be positive")
 	case c.CapacityBytes%c.BlockBytes != 0:

@@ -2,6 +2,8 @@ package svc
 
 import (
 	"context"
+	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -110,6 +112,23 @@ func TestNormalizeRejectsOverflowingDRAMStripe(t *testing.T) {
 		Config: &machines.ConfigSet{VIRAM: &v}}
 	if _, err := spec.Normalize(); err == nil {
 		t.Fatal("overflowing DRAM geometry passed Normalize")
+	}
+}
+
+// TestHTTPRejectsOversizedDRAMBanks: a client config whose bank count
+// would size a makeslice past its limit must get a 400 from Normalize,
+// not reach the machine constructor on a pool worker.
+func TestHTTPRejectsOversizedDRAMBanks(t *testing.T) {
+	_, srv := newTestServer(t)
+	body := `{"machine":"VIRAM","kernel":"corner-turn",` +
+		`"config":{"viram":{"DRAM":{"Banks":4611686018427387904,"RowWords":1}}}}`
+	resp, err := http.Post(srv.URL+"/v1/jobs?wait=1", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400", resp.StatusCode)
 	}
 }
 

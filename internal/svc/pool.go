@@ -836,7 +836,7 @@ func (p *Pool) runAttempt(ctx context.Context, t Task, ws *workerState) (core.Re
 		var err error
 		m, reused, err = p.resolveMachine(t, ws)
 		if err != nil {
-			return core.Result{}, false, fmt.Errorf("svc: job %q: %w", t.Label, err)
+			return core.Result{}, false, err
 		}
 	}
 	type outcome struct {
@@ -913,12 +913,27 @@ func (p *Pool) resolveMachine(t Task, ws *workerState) (core.Machine, bool, erro
 		}
 		delete(ws.machines, key)
 	}
-	m, err := t.Factory(t.Machine)
+	m, err := newMachine(t)
 	if err != nil {
 		return nil, false, err
 	}
 	p.metrics.machineBuilt()
 	return m, false, nil
+}
+
+// newMachine calls the task's factory with the same panic isolation as
+// a run: a constructor that panics (say, on a client config no Validate
+// rejected) fails this job instead of the worker goroutine.
+func newMachine(t Task) (m core.Machine, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = &panicError{label: t.Label, value: r}
+		}
+	}()
+	if m, err = t.Factory(t.Machine); err != nil {
+		err = fmt.Errorf("svc: job %q: %w", t.Label, err)
+	}
+	return m, err
 }
 
 // cacheMachine stores a cleanly used instance for the next job on this
@@ -968,7 +983,7 @@ func (p *Pool) sampleReuse(ws *workerState, key string) bool {
 // re-invoking it performs no duplicate side effects.
 func (p *Pool) verifyReuse(ctx context.Context, t Task, got core.Result) error {
 	p.metrics.reuseChecked()
-	fresh, err := t.Factory(t.Machine)
+	fresh, err := newMachine(t)
 	if err != nil {
 		return nil
 	}

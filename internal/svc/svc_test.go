@@ -150,6 +150,44 @@ func TestPoolPanicIsolation(t *testing.T) {
 	}
 }
 
+// TestPoolFactoryPanicIsolation: a machine constructor that panics
+// fails its own job like a panicking run does, and the worker goes on
+// serving.
+func TestPoolFactoryPanicIsolation(t *testing.T) {
+	p := NewPool(PoolOptions{Workers: 1})
+	defer p.Close()
+	fut, err := p.Submit(Task{
+		Label:   "bad-config",
+		Machine: "VIRAM",
+		Factory: func(string) (core.Machine, error) {
+			panic("makeslice: len out of range")
+		},
+		RunOn: func(context.Context, core.Machine) (core.Result, error) {
+			t.Error("RunOn called without a machine")
+			return core.Result{}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, werr := fut.Wait(context.Background())
+	var pe *panicError
+	if !errors.As(werr, &pe) {
+		t.Fatalf("err = %v, want a panic report", werr)
+	}
+	snap := p.Metrics().Snapshot()
+	if snap.Panics != 1 || snap.Failed != 1 {
+		t.Fatalf("panic metrics: %+v", snap)
+	}
+	fut2, err := p.Submit(Task{Label: "after", Run: okTask(3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, err := fut2.Wait(context.Background()); err != nil || r.Cycles != 3 {
+		t.Fatalf("after factory panic: %v %v", r, err)
+	}
+}
+
 func TestPoolMemoization(t *testing.T) {
 	p := NewPool(PoolOptions{Workers: 4})
 	defer p.Close()

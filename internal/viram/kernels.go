@@ -223,21 +223,8 @@ func (m *Machine) RunCornerTurnPermute(spec cornerturn.Spec) (core.Result, error
 // into a scalar ahead of the loop, as the paper describes ("the data is
 // fed to the vector unit, which computes output data").
 func (m *Machine) RunBeamSteering(spec beamsteer.Spec) (core.Result, error) {
-	if err := spec.Validate(); err != nil {
+	if err := beamsteer.VerifySynthetic(spec); err != nil {
 		return core.Result{}, err
-	}
-	tables := testsig.NewBeamTables(spec.Elements, spec.Directions, spec.Dwells, 7)
-	out, err := beamsteer.Steer(spec, tables)
-	if err != nil {
-		return core.Result{}, err
-	}
-	// Verify a sample of outputs against the independent single-output
-	// formula.
-	for _, probe := range [][3]int{{0, 0, 0}, {spec.Dwells - 1, spec.Directions - 1, spec.Elements - 1}, {spec.Dwells / 2, 0, spec.Elements / 2}} {
-		dw, d, e := probe[0], probe[1], probe[2]
-		if out[dw][d][e] != beamsteer.SteerOne(spec, tables, dw, d, e) {
-			return core.Result{}, fmt.Errorf("viram: beam steering output mismatch at %v", probe)
-		}
 	}
 
 	m.reset()
@@ -289,10 +276,7 @@ func (m *Machine) RunCSLC(spec cslc.Spec) (core.Result, error) {
 	// The paper's hand-optimized choice for N=128 is the mixed radix-4/2
 	// plan; other lengths take the best decomposition available.
 	spec.Radix = fft.BestRadix(spec.FFTSize)
-	if err := spec.Validate(); err != nil {
-		return core.Result{}, err
-	}
-	if err := m.verifyCSLC(spec); err != nil {
+	if err := cslc.VerifySynthetic(spec); err != nil {
 		return core.Result{}, err
 	}
 
@@ -350,25 +334,6 @@ func (m *Machine) RunCSLC(spec cslc.Spec) (core.Result, error) {
 		Words:     counts.Loads + counts.Stores,
 		Verified:  true,
 	}, nil
-}
-
-// verifyCSLC runs the functional pipeline on the synthetic scene and
-// proves it against the naive-DFT reference and a cancellation-depth
-// check.
-func (m *Machine) verifyCSLC(spec cslc.Spec) error {
-	scene := testsig.DefaultScene(spec.Samples)
-	scene.AuxCoupling = scene.AuxCoupling[:spec.AuxChannels]
-	channels := scene.Channels(spec.MainChannels)
-	w, err := cslc.EstimateWeights(spec, channels)
-	if err != nil {
-		return err
-	}
-	out, err := cslc.Run(spec, channels, w)
-	if err != nil {
-		return err
-	}
-	probe := []int{0, spec.SubBands / 2, spec.SubBands - 1}
-	return cslc.VerifyAgainstNaive(spec, channels, w, out, probe)
 }
 
 // emitExtract emits the sub-band gather: for each sample row, a strided

@@ -11,9 +11,6 @@ import (
 // throughout, so the kernel is bound by ALU0's FP rate rather than the
 // address generators.
 func (m *Machine) RunMatMul(spec matmul.Spec) (core.Result, error) {
-	if err := spec.Validate(); err != nil {
-		return core.Result{}, err
-	}
 	if err := matmul.VerifyBlocked(spec); err != nil {
 		return core.Result{}, err
 	}

@@ -128,18 +128,23 @@ func DefaultConfig() Config {
 	}
 }
 
+// maxGeometry bounds Lanes, MVL, VRegs, IssueQueue and TLBEntries, so a
+// client config cannot size the register-chaining, issue-queue or TLB
+// state, or the address ranges MVL scales, past what memory holds.
+const maxGeometry = 1 << 12
+
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
 	switch {
-	case c.Lanes <= 0 || c.FPLanes <= 0 || c.FPLanes > c.Lanes:
+	case c.Lanes <= 0 || c.FPLanes <= 0 || c.FPLanes > c.Lanes || c.Lanes > maxGeometry:
 		return fmt.Errorf("viram: lanes %d / FP lanes %d", c.Lanes, c.FPLanes)
-	case c.MVL <= 0 || c.VRegs <= 0:
+	case c.MVL <= 0 || c.VRegs <= 0 || c.MVL > maxGeometry || c.VRegs > maxGeometry:
 		return fmt.Errorf("viram: MVL %d / VRegs %d", c.MVL, c.VRegs)
 	case c.StartupALU < 0 || c.StartupMem < 0:
 		return fmt.Errorf("viram: negative startup")
-	case c.IssueQueue <= 0:
+	case c.IssueQueue <= 0 || c.IssueQueue > maxGeometry:
 		return fmt.Errorf("viram: IssueQueue %d", c.IssueQueue)
-	case c.TLBEntries <= 0 || c.TLBPageBytes < 4: // a page holds at least one word
+	case c.TLBEntries <= 0 || c.TLBEntries > maxGeometry || c.TLBPageBytes < 4: // a page holds at least one word
 		return fmt.Errorf("viram: TLB %d entries / %d-byte pages", c.TLBEntries, c.TLBPageBytes)
 	}
 	return c.DRAM.Validate()

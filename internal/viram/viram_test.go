@@ -25,6 +25,12 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.TLBEntries = 0 },
 		func(c *Config) { c.TLBPageBytes = 3 }, // less than one word per page
 		func(c *Config) { c.DRAM.Banks = 0 },
+		func(c *Config) { c.Lanes, c.FPLanes = 1<<40, 1<<40 },
+		func(c *Config) { c.MVL = 1 << 40 },
+		func(c *Config) { c.VRegs = 1 << 40 },
+		func(c *Config) { c.IssueQueue = 1 << 40 },
+		func(c *Config) { c.TLBEntries = 1 << 40 },
+		func(c *Config) { c.DRAM.Banks, c.DRAM.RowWords = 1<<62, 1 },
 	}
 	for i, mut := range mutations {
 		c := DefaultConfig()
